@@ -1,4 +1,15 @@
-"""Wire codec round-trip tests for every protocol message type."""
+"""Wire codec round-trip tests for every protocol message type.
+
+Every sample below also has a committed byte vector in
+``tests/data/codec_vectors.json`` (name -> hex). A vector that changes is
+a wire *and* on-disk format change (see docs/RUNTIME.md, "Message
+encoding"). ``PYTHONPATH=src python -m tests.test_net_codec`` appends
+vectors for newly added samples; it never rewrites an existing one.
+"""
+
+import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +37,7 @@ from repro.core.messages import (
     XferRequest,
 )
 from repro.crypto.merkle import MerkleProof
-from repro.crypto.threshold import PartialSignature
+from repro.crypto.threshold import PartialSignature, ShareProof
 from repro.errors import ProtocolError
 from repro.net.codec import (
     decode_message,
@@ -212,19 +223,98 @@ CPITM_MESSAGES = [
 ]
 
 
-@pytest.mark.parametrize("message", PRIME_MESSAGES, ids=lambda m: type(m).__name__)
-def test_prime_message_roundtrip(message):
-    roundtrip(message)
+# Samples that exist for the byte vectors only (other test modules import
+# the two lists above and pin wire_size() bands on them): the remaining
+# ``optional`` arms and the deepest nestings the protocol produces.
+SAMPLE_SIGNED_BATCH = SignedUpdateBatch(root=b"\x22" * 32, items=(SAMPLE_ENCRYPTED, EncryptedUpdate(alias="ef01" * 4, client_seq=2, ciphertext=b"\x23" * 48)), threshold_sig=b"\x24" * 48)
+SAMPLE_DELTA = CheckpointDeltaMsg(ordinal=125, base_ordinal=100, full_ordinal=100, resume=SAMPLE_RESUME, blob=b"\x25" * 48, signer="dc-2-r0")
+SAMPLE_PROVEN_PREPARE = CrossShardPrepare(
+    client_id="client-03",
+    client_seq=7,
+    home_shard=1,
+    intent_digest=b"\x26" * 32,
+    cert_kind=1,
+    cert_sig=b"\x27" * 48,
+    batch_root=b"\x28" * 32,
+    batch_count=2,
+    proof=MerkleProof(leaf_index=1, path=((b"\x29" * 32, False),)),
+)
+
+EXTRA_MESSAGES = [
+    IntroShare(alias="abcd" * 4, client_seq=4, update_digest=b"\x2a" * 32, partial=PartialSignature(signer=3, value=2 ** 300 + 5, proof=ShareProof(challenge=2 ** 127 + 1, response=2 ** 400 + 9))),
+    PoRequest(origin="r0#1", seq=300, update=OpaqueUpdate(digest=b"\x2b" * 32, payload=SAMPLE_SIGNED_BATCH, size=420)),
+    StateXferResponse(
+        requester="cc-b-r1",
+        nonce=200,
+        checkpoint=CheckpointMsg(ordinal=100, resume=SAMPLE_RESUME, blob=Sensitive(b"plain state", label="state-snapshot"), signer="dc-2-r0"),
+        batches=(
+            BatchRecord(batch_seq=11, resume=SAMPLE_RESUME, entries=((43, SAMPLE_SIGNED_BATCH), (44, SAMPLE_PROPOSAL))),
+            BatchRecord(batch_seq=12, resume=SAMPLE_RESUME, entries=()),
+        ),
+        view=4,
+        responder="dc-2-r0",
+        part_index=2,
+        part_count=3,
+        deltas=(SAMPLE_DELTA,),
+    ),
+    CertifiedResponse(
+        client_id="client-03",
+        client_seq=4,
+        body=Sensitive(b"OK", label="client-response"),
+        batch_root=b"\x2c" * 32,
+        batch_count=8,
+        batch_sig=b"\x2d" * 48,
+        proof=MerkleProof(leaf_index=5, path=((b"\x2e" * 32, False), (b"\x2f" * 32, True), (b"\x30" * 32, False))),
+    ),
+    CrossShardIntent(client_id="client-03", client_seq=8, home_shard=0, targets=(), body=b"\x31" * 40),
+    CrossShardCommit(intent=SAMPLE_INTENT, prepare=SAMPLE_PROVEN_PREPARE),
+]
 
 
-@pytest.mark.parametrize("message", CPITM_MESSAGES, ids=lambda m: f"{type(m).__name__}-{id(m) % 97}")
-def test_cpitm_message_roundtrip(message):
-    roundtrip(message)
+def _named(messages, seen):
+    """``(TypeName-n, message)`` pairs; ``n`` counts earlier samples of the type."""
+    named = []
+    for message in messages:
+        name = type(message).__name__
+        named.append((f"{name}-{seen[name]}", message))
+        seen[name] += 1
+    return named
+
+
+_seen = Counter()
+NAMED_PRIME = _named(PRIME_MESSAGES, _seen)
+NAMED_CPITM = _named(CPITM_MESSAGES, _seen)
+NAMED_EXTRA = _named(EXTRA_MESSAGES, _seen)
+ALL_NAMED = NAMED_PRIME + NAMED_CPITM + NAMED_EXTRA
+
+VECTOR_PATH = Path(__file__).parent / "data" / "codec_vectors.json"
+VECTORS = json.loads(VECTOR_PATH.read_text()) if VECTOR_PATH.exists() else {}
+
+
+def roundtrip_against_vector(name, message):
+    encoded = roundtrip(message)
+    assert encoded.hex() == VECTORS[name]
+    assert decode_message(bytes.fromhex(VECTORS[name])) == (message, len(encoded))
+
+
+@pytest.mark.parametrize("name,message", NAMED_PRIME, ids=[n for n, _ in NAMED_PRIME])
+def test_prime_message_roundtrip(name, message):
+    roundtrip_against_vector(name, message)
+
+
+@pytest.mark.parametrize("name,message", NAMED_CPITM + NAMED_EXTRA, ids=[n for n, _ in NAMED_CPITM + NAMED_EXTRA])
+def test_cpitm_message_roundtrip(name, message):
+    roundtrip_against_vector(name, message)
 
 
 def test_every_registered_type_is_covered():
     covered = {type(m) for m in PRIME_MESSAGES + CPITM_MESSAGES}
     assert set(registered_types()) <= covered
+
+
+def test_every_registered_type_has_a_vector():
+    assert set(VECTORS) == {name for name, _ in ALL_NAMED}
+    assert {t.__name__ for t in registered_types()} <= {name.rsplit("-", 1)[0] for name in VECTORS}
 
 
 def test_unknown_type_rejected():
@@ -303,3 +393,10 @@ def test_stream_of_messages_decodes_sequentially():
         message, offset = decode_message(stream, offset)
         decoded.append(message)
     assert decoded == PRIME_MESSAGES[:5]
+
+
+if __name__ == "__main__":
+    for _name, _message in ALL_NAMED:
+        VECTORS.setdefault(_name, encode_message(_message).hex())
+    VECTOR_PATH.parent.mkdir(exist_ok=True)
+    VECTOR_PATH.write_text(json.dumps(VECTORS, indent=1) + "\n")
