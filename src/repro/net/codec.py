@@ -1,114 +1,88 @@
 """Binary wire codec for every protocol message.
 
 The simulation passes Python objects between hosts for speed, but a
-deployable system needs a wire format; this module defines one and the
-test suite proves it round-trips every message type. It also lets tools
-measure *exact* message sizes (``encoded_size``) where the protocol
-layer's ``wire_size()`` methods give fast estimates.
+deployable system needs a wire format; this module defines one. The same
+bytes are the live transport's frame body (``rt.wire``), the durable
+log's record body (``store.filestore``) and the state-transfer payload.
 
 Format: one tag byte selecting the message type, then the type's fields
-in order. Primitives:
+in dataclass order. The whole format is the ``_MESSAGES`` table — one row
+``(tag, dataclass, ((field_name, kind), ...))`` per type, compiled to
+closures once at import. A field *kind* is a ``(write, read)`` pair and
+the only place its layout and bounds checks live; malformed input raises
+``ProtocolError`` and nothing else. The kinds:
 
-- unsigned integers: LEB128 varints,
-- byte strings: varint length + raw bytes,
-- strings: UTF-8 via the byte-string encoding,
-- maps/sequences: varint count + elements (maps sorted by key, so
-  encoding is canonical and encode(decode(x)) == x),
-- nested messages: recursively tagged, so heterogeneous payloads
-  (an ordered batch holds encrypted updates next to key proposals)
-  decode without out-of-band type information.
+- ``VARINT`` unsigned LEB128; ``BYTES`` varint length + raw bytes; ``STR``
+  UTF-8 in a ``BYTES``; ``BIGINT`` big-endian magnitude in a ``BYTES``;
+  ``FLAG`` one byte, 0 or 1,
+- ``INT_MAP`` varint count + (``STR``, ``VARINT``) entries sorted by key,
+  so encoding is canonical and encode(decode(x)) == x,
+- ``seq(kind)`` / ``pairs(kind, kind)`` varint count + elements, decoded
+  to tuples; ``optional(kind)`` a ``FLAG`` then the value if present,
+- ``struct(cls, fields)`` an untagged inline record (every row is one),
+- ``SENSITIVE`` label + data of a ``Sensitive``; ``BLOB`` a ``FLAG`` then
+  ciphertext ``BYTES`` (0) or a ``SENSITIVE`` (1), so a decoded baseline
+  checkpoint is still recognizably plaintext to the confidentiality auditor,
+- ``NESTED`` a length-prefixed *tagged* message, so heterogeneous
+  payloads (an ordered batch holds encrypted updates next to key
+  proposals) decode without out-of-band type information; it must fill
+  its length prefix exactly, and nesting depth is capped,
+- ``OPAQUE`` the one hand-written record, ``OpaqueUpdate``: digest, size,
+  then the payload as a ``NESTED`` whose bytes decode keeps in
+  ``OpaqueUpdate.encoded``, so Prime, the intro layer and the store
+  forward and persist an ordered update without re-encoding it.
 
-``Sensitive`` wrappers survive the trip: tag-prefixed inside blob fields,
-so a decoded Spire-baseline checkpoint is still recognizably plaintext to
-the confidentiality auditor.
+Adding a message type is one row here plus one sample in
+``tests/test_net_codec.py``, whose vector ``python -m tests.test_net_codec``
+appends to ``tests/data/codec_vectors.json``. A vector that changes is a
+wire and on-disk format change: see "Message encoding" in docs/RUNTIME.md.
 """
 
 from __future__ import annotations
 
+import threading
+from dataclasses import fields as dataclass_fields
 from typing import Any, Callable, Dict, List, Tuple, Type
 
 from repro.cache import FrameCache
+from repro.core import messages as core
 from repro.core.confidentiality import Sensitive
-from repro.core.messages import (
-    BatchProposal,
-    BatchRecord,
-    BatchShare,
-    CertifiedResponse,
-    CheckpointDeltaMsg,
-    CheckpointMsg,
-    ClientResponse,
-    ClientUpdate,
-    EncryptedUpdate,
-    IntroShare,
-    KeyProposal,
-    ResponseBatchShare,
-    ResponseShare,
-    ResumePoint,
-    SignedUpdateBatch,
-    StateXferResponse,
-    StateXferSolicit,
-    XferRequest,
-)
 from repro.crypto.merkle import MerkleProof
 from repro.crypto.threshold import PartialSignature, ShareProof
 from repro.errors import ProtocolError
-from repro.shard.messages import (
-    CrossShardCommit,
-    CrossShardIntent,
-    CrossShardPrepare,
-    ShardMapAnnounce,
-)
-from repro.prime.messages import (
-    BatchFetch,
-    BatchFetchReply,
-    Commit,
-    Heartbeat,
-    NewView,
-    OpaqueUpdate,
-    PoAck,
-    PoAru,
-    PoFetch,
-    PoFetchReply,
-    PoRequest,
-    PreparedCert,
-    PrePrepare,
-    Prepare,
-    Suspect,
-    VcState,
-)
+from repro.prime import messages as prime
+from repro.shard import messages as shard
 
-# ---------------------------------------------------------------------------
-# primitives
-# ---------------------------------------------------------------------------
+# -- primitives ---------------------------------------------------------------
 
 
 def write_varint(out: bytearray, value: int) -> None:
     if value < 0:
         raise ProtocolError(f"cannot encode negative varint {value}")
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
 
 
 def read_varint(data: bytes, offset: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise ProtocolError("truncated varint")
+    try:
         byte = data[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
-        if shift > 70:
-            raise ProtocolError("varint too long")
+        if byte < 0x80:  # one-byte values are the common case
+            return byte, offset + 1
+        result = byte & 0x7F
+        shift = 7
+        while True:
+            offset += 1
+            byte = data[offset]
+            result |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                return result, offset + 1
+            shift += 7
+            if shift > 70:
+                raise ProtocolError("varint too long")
+    except IndexError:
+        raise ProtocolError("truncated varint") from None
 
 
 def write_bytes(out: bytearray, value: bytes) -> None:
@@ -129,7 +103,10 @@ def write_str(out: bytearray, value: str) -> None:
 
 def read_str(data: bytes, offset: int) -> Tuple[str, int]:
     raw, offset = read_bytes(data, offset)
-    return raw.decode("utf-8"), offset
+    try:
+        return raw.decode("utf-8"), offset
+    except UnicodeDecodeError:
+        raise ProtocolError("string is not valid UTF-8") from None
 
 
 def write_int_map(out: bytearray, mapping) -> None:
@@ -150,26 +127,21 @@ def read_int_map(data: bytes, offset: int) -> Tuple[Dict[str, int], int]:
     return mapping, offset
 
 
-def _write_blob(out: bytearray, blob) -> None:
-    """A blob is ciphertext bytes (0) or Sensitive plaintext (1)."""
-    if isinstance(blob, Sensitive):
-        out.append(1)
-        write_str(out, blob.label)
-        write_bytes(out, blob.data)
-    else:
-        out.append(0)
-        write_bytes(out, blob)
+# -- field kinds: (write(out, value), read(data, offset) -> (value, offset)) --
+
+Kind = Tuple[Callable[[bytearray, Any], None], Callable[[bytes, int], Tuple[Any, int]]]
 
 
-def _read_blob(data: bytes, offset: int):
-    kind = data[offset]
-    offset += 1
-    if kind == 1:
-        label, offset = read_str(data, offset)
-        raw, offset = read_bytes(data, offset)
-        return Sensitive(raw, label=label), offset
-    raw, offset = read_bytes(data, offset)
-    return raw, offset
+def _write_flag(out: bytearray, value: bool) -> None:
+    out.append(1 if value else 0)
+
+
+def _read_flag(data: bytes, offset: int) -> Tuple[bool, int]:
+    if offset >= len(data):
+        raise ProtocolError("truncated flag byte")
+    if data[offset] > 1:
+        raise ProtocolError(f"flag byte {data[offset]} is neither 0 nor 1")
+    return data[offset] == 1, offset + 1
 
 
 def _write_bigint(out: bytearray, value: int) -> None:
@@ -178,69 +150,374 @@ def _write_bigint(out: bytearray, value: int) -> None:
 
 def _read_bigint(data: bytes, offset: int) -> Tuple[int, int]:
     raw, offset = read_bytes(data, offset)
+    if not raw:
+        raise ProtocolError("empty bigint")
     return int.from_bytes(raw, "big"), offset
 
 
-def _write_partial(out: bytearray, partial: PartialSignature) -> None:
-    write_varint(out, partial.signer)
-    _write_bigint(out, partial.value)
-    if partial.proof is not None:
+def _write_sensitive(out: bytearray, value: Sensitive) -> None:
+    write_str(out, value.label)
+    write_bytes(out, value.data)
+
+
+def _read_sensitive(data: bytes, offset: int) -> Tuple[Sensitive, int]:
+    label, offset = read_str(data, offset)
+    raw, offset = read_bytes(data, offset)
+    return Sensitive(raw, label=label), offset
+
+
+def _write_blob(out: bytearray, blob) -> None:
+    """A blob is ciphertext bytes (0) or Sensitive plaintext (1)."""
+    if isinstance(blob, Sensitive):
         out.append(1)
-        _write_bigint(out, partial.proof.challenge)
-        _write_bigint(out, partial.proof.response)
+        _write_sensitive(out, blob)
     else:
         out.append(0)
+        write_bytes(out, blob)
 
 
-def _read_partial(data: bytes, offset: int) -> Tuple[PartialSignature, int]:
-    signer, offset = read_varint(data, offset)
-    value, offset = _read_bigint(data, offset)
-    has_proof = data[offset]
-    offset += 1
-    proof = None
-    if has_proof:
-        challenge, offset = _read_bigint(data, offset)
-        response, offset = _read_bigint(data, offset)
-        proof = ShareProof(challenge=challenge, response=response)
-    return PartialSignature(signer=signer, value=value, proof=proof), offset
+def _read_blob(data: bytes, offset: int):
+    is_plaintext, offset = _read_flag(data, offset)
+    return (_read_sensitive if is_plaintext else read_bytes)(data, offset)
 
 
-def _write_resume(out: bytearray, resume: ResumePoint) -> None:
-    write_varint(out, resume.batch_seq)
-    write_varint(out, resume.ordinal)
-    write_int_map(out, dict(resume.ordered_through))
+# Legitimate nesting stops at 3 (state transfer -> batch record -> signed
+# batch -> encrypted update); the cap makes a hostile tower of length
+# prefixes a ProtocolError, not a RecursionError. Depth is per thread.
+_MAX_NESTING = 8
+_nesting = threading.local()
 
 
-def _read_resume(data: bytes, offset: int) -> Tuple[ResumePoint, int]:
-    batch_seq, offset = read_varint(data, offset)
-    ordinal, offset = read_varint(data, offset)
-    ordered, offset = read_int_map(data, offset)
-    return (
-        ResumePoint(
-            batch_seq=batch_seq,
-            ordinal=ordinal,
-            ordered_through=tuple(sorted(ordered.items())),
-        ),
-        offset,
-    )
+def _nested_message(raw: bytes) -> Any:
+    depth = getattr(_nesting, "depth", 0)
+    if depth >= _MAX_NESTING:
+        raise ProtocolError("nested messages too deep")
+    _nesting.depth = depth + 1
+    try:
+        message, end = decode_message(raw)
+    finally:
+        _nesting.depth = depth
+    if end != len(raw):
+        raise ProtocolError("nested message length mismatch")
+    return message
 
 
-# ---------------------------------------------------------------------------
-# per-type encoders/decoders
-# ---------------------------------------------------------------------------
+def _write_nested(out: bytearray, message: Any) -> None:
+    write_bytes(out, encode_message_cached(message))
+
+
+def _read_nested(data: bytes, offset: int) -> Tuple[Any, int]:
+    raw, offset = read_bytes(data, offset)
+    return _nested_message(raw), offset
+
+
+def _write_opaque(out: bytearray, update: prime.OpaqueUpdate) -> None:
+    write_bytes(out, update.digest)
+    write_varint(out, update.size)
+    write_bytes(out, update.encoded or encode_message_cached(update.payload))
+
+
+def _read_opaque(data: bytes, offset: int) -> Tuple[prime.OpaqueUpdate, int]:
+    digest, offset = read_bytes(data, offset)
+    size, offset = read_varint(data, offset)
+    nested, offset = read_bytes(data, offset)
+    return prime.OpaqueUpdate(digest, _nested_message(nested), size, nested), offset
+
+
+VARINT: Kind = (write_varint, read_varint)
+BYTES: Kind = (write_bytes, read_bytes)
+STR: Kind = (write_str, read_str)
+BIGINT: Kind = (_write_bigint, _read_bigint)
+FLAG: Kind = (_write_flag, _read_flag)
+INT_MAP: Kind = (write_int_map, read_int_map)
+SENSITIVE: Kind = (_write_sensitive, _read_sensitive)
+BLOB: Kind = (_write_blob, _read_blob)
+NESTED: Kind = (_write_nested, _read_nested)
+OPAQUE: Kind = (_write_opaque, _read_opaque)
+
+
+def seq(kind: Kind) -> Kind:
+    """Varint count + elements; decodes to a tuple."""
+    write_item, read_item = kind
+
+    def write(out, values):
+        write_varint(out, len(values))
+        for value in values:
+            write_item(out, value)
+
+    def read(data, offset):
+        count, offset = read_varint(data, offset)
+        values = []
+        for _ in range(count):
+            value, offset = read_item(data, offset)
+            values.append(value)
+        return tuple(values), offset
+
+    return write, read
+
+
+def pairs(first: Kind, second: Kind) -> Kind:
+    """Varint count + (first, second) elements; decodes to a tuple of 2-tuples."""
+    write_first, read_first = first
+    write_second, read_second = second
+
+    def write_pair(out, pair):
+        write_first(out, pair[0])
+        write_second(out, pair[1])
+
+    def read_pair(data, offset):
+        left, offset = read_first(data, offset)
+        right, offset = read_second(data, offset)
+        return (left, right), offset
+
+    return seq((write_pair, read_pair))
+
+
+def optional(kind: Kind) -> Kind:
+    """Presence flag, then the value unless it is None."""
+    write_value, read_value = kind
+
+    def write(out, value):
+        out.append(0 if value is None else 1)
+        if value is not None:
+            write_value(out, value)
+
+    def read(data, offset):
+        present, offset = _read_flag(data, offset)
+        return read_value(data, offset) if present else (None, offset)
+
+    return write, read
+
+
+def struct(cls: Type, spec: Tuple[Tuple[str, Kind], ...]) -> Kind:
+    """The fields of dataclass ``cls`` back to back, in dataclass order."""
+    if tuple(name for name, _ in spec) != tuple(f.name for f in dataclass_fields(cls)):
+        raise TypeError(f"{cls.__name__}: field spec does not match the dataclass fields")
+    writers = tuple((name, kind[0]) for name, kind in spec)
+    readers = tuple(kind[1] for _, kind in spec)
+
+    def write(out, value):
+        for name, write_field in writers:
+            write_field(out, getattr(value, name))
+
+    def read(data, offset):
+        values = []
+        for read_field in readers:
+            value, offset = read_field(data, offset)
+            values.append(value)
+        return cls(*values), offset
+
+    return write, read
+
+
+# -- the wire format ----------------------------------------------------------
+
+_PARTIAL = struct(PartialSignature, (
+    ("signer", VARINT),
+    ("value", BIGINT),
+    ("proof", optional(struct(ShareProof, (("challenge", BIGINT), ("response", BIGINT))))),
+))
+_RESUME = struct(core.ResumePoint, (
+    ("batch_seq", VARINT),
+    ("ordinal", VARINT),
+    ("ordered_through", pairs(STR, VARINT)),
+))
+_PROPOSAL = (
+    ("view", VARINT),
+    ("seq", VARINT),
+    ("cutoffs", INT_MAP),
+)
+_CERTS = seq(struct(prime.PreparedCert, _PROPOSAL))
+_MERKLE_PROOF = struct(MerkleProof, (
+    ("leaf_index", VARINT),
+    ("path", pairs(BYTES, FLAG)),
+))
+
+_VOTE = (
+    ("view", VARINT),
+    ("seq", VARINT),
+    ("content_digest", BYTES),
+)
+_XFER_REQUEST = (
+    ("requester", STR),
+    ("nonce", VARINT),
+    ("have_seq", VARINT),
+    ("have_ordinal", VARINT),
+)
+_XSHARD_INTENT = (
+    ("client_id", STR),
+    ("client_seq", VARINT),
+    ("home_shard", VARINT),
+    ("targets", seq(VARINT)),
+    ("body", BLOB),
+)
+_XSHARD_PREPARE = (
+    ("client_id", STR),
+    ("client_seq", VARINT),
+    ("home_shard", VARINT),
+    ("intent_digest", BYTES),
+    ("cert_kind", VARINT),
+    ("cert_sig", BYTES),
+    ("batch_root", BYTES),
+    ("batch_count", VARINT),
+    ("proof", optional(_MERKLE_PROOF)),
+)
+
+_MESSAGES = (
+    (1, prime.PoRequest, (
+        ("origin", STR),
+        ("seq", VARINT),
+        ("update", OPAQUE),
+    )),
+    (2, prime.PoAck, (
+        ("origin", STR),
+        ("seq", VARINT),
+        ("digest", BYTES),
+    )),
+    (3, prime.PoAru, (("vector", INT_MAP),)),
+    (4, prime.PrePrepare, _PROPOSAL),
+    (5, prime.Prepare, _VOTE),
+    (6, prime.Commit, _VOTE),
+    (7, prime.Heartbeat, (("view", VARINT),)),
+    (8, prime.Suspect, (("target_view", VARINT),)),
+    (9, prime.VcState, (
+        ("view", VARINT),
+        ("last_committed", VARINT),
+        ("prepared", _CERTS),
+    )),
+    (10, prime.NewView, (
+        ("view", VARINT),
+        ("start_seq", VARINT),
+        ("adopted", _CERTS),
+    )),
+    (11, prime.PoFetch, (("origin", STR), ("seq", VARINT))),
+    (12, prime.PoFetchReply, (("request", NESTED),)),
+    (13, prime.BatchFetch, (("seqs", seq(VARINT)),)),
+    (14, prime.BatchFetchReply, (
+        ("seq", VARINT),
+        ("cutoffs", INT_MAP),
+    )),
+    # -- CP-ITM messages --------------------------------------------------------
+    (20, core.ClientUpdate, (
+        ("client_id", STR),
+        ("client_seq", VARINT),
+        ("body", SENSITIVE),
+        ("signature", BYTES),
+    )),
+    (21, core.EncryptedUpdate, (
+        ("alias", STR),
+        ("client_seq", VARINT),
+        ("ciphertext", BYTES),
+        ("threshold_sig", BYTES),
+    )),
+    (22, core.IntroShare, (
+        ("alias", STR),
+        ("client_seq", VARINT),
+        ("update_digest", BYTES),
+        ("partial", _PARTIAL),
+    )),
+    (23, core.ResponseShare, (
+        ("client_id", STR),
+        ("client_seq", VARINT),
+        ("response_digest", BYTES),
+        ("partial", _PARTIAL),
+    )),
+    (24, core.ClientResponse, (
+        ("client_id", STR),
+        ("client_seq", VARINT),
+        ("body", SENSITIVE),
+        ("threshold_sig", BYTES),
+    )),
+    (25, core.KeyProposal, (
+        ("alias", STR),
+        ("range_start", VARINT),
+        ("range_end", VARINT),
+        ("proposer", STR),
+        ("encrypted_seed", BYTES),
+    )),
+    (26, core.CheckpointMsg, (
+        ("ordinal", VARINT),
+        ("resume", _RESUME),
+        ("blob", BLOB),
+        ("signer", STR),
+    )),
+    (27, core.StateXferSolicit, _XFER_REQUEST),
+    (28, core.XferRequest, _XFER_REQUEST),
+    (29, core.BatchRecord, (
+        ("batch_seq", VARINT),
+        ("resume", _RESUME),
+        ("entries", pairs(VARINT, NESTED)),
+    )),
+    (30, core.StateXferResponse, (
+        ("requester", STR),
+        ("nonce", VARINT),
+        ("checkpoint", optional(NESTED)),
+        ("batches", seq(NESTED)),
+        ("view", VARINT),
+        ("responder", STR),
+        ("part_index", VARINT),
+        ("part_count", VARINT),
+        ("deltas", seq(NESTED)),
+    )),
+    (40, core.CheckpointDeltaMsg, (
+        ("ordinal", VARINT),
+        ("base_ordinal", VARINT),
+        ("full_ordinal", VARINT),
+        ("resume", _RESUME),
+        ("blob", BLOB),
+        ("signer", STR),
+    )),
+    # -- BatchLab messages ------------------------------------------------------
+    (31, core.BatchProposal, (
+        ("proposer", STR),
+        ("batch_no", VARINT),
+        ("items", seq(NESTED)),
+    )),
+    (32, core.BatchShare, (
+        ("proposer", STR),
+        ("batch_no", VARINT),
+        ("root", BYTES),
+        ("count", VARINT),
+        ("partial", _PARTIAL),
+    )),
+    (33, core.SignedUpdateBatch, (
+        ("root", BYTES),
+        ("items", seq(NESTED)),
+        ("threshold_sig", BYTES),
+    )),
+    (34, core.ResponseBatchShare, (
+        ("root", BYTES),
+        ("count", VARINT),
+        ("partial", _PARTIAL),
+    )),
+    (35, core.CertifiedResponse, (
+        ("client_id", STR),
+        ("client_seq", VARINT),
+        ("body", SENSITIVE),
+        ("batch_root", BYTES),
+        ("batch_count", VARINT),
+        ("batch_sig", BYTES),
+        ("proof", _MERKLE_PROOF),
+    )),
+    (36, shard.ShardMapAnnounce, (
+        ("seed", VARINT),
+        ("shards", VARINT),
+        ("version", VARINT),
+    )),
+    (37, shard.CrossShardIntent, _XSHARD_INTENT),
+    (38, shard.CrossShardPrepare, _XSHARD_PREPARE),
+    (39, shard.CrossShardCommit, (
+        ("intent", struct(shard.CrossShardIntent, _XSHARD_INTENT)),
+        ("prepare", struct(shard.CrossShardPrepare, _XSHARD_PREPARE)),
+    )),
+)
 
 _ENCODERS: Dict[Type, Tuple[int, Callable]] = {}
 _DECODERS: Dict[int, Callable] = {}
 
-
-def _register(tag: int, message_type: Type):
-    def wrap(pair):
-        encode, decode = pair
-        _ENCODERS[message_type] = (tag, encode)
-        _DECODERS[tag] = decode
-        return pair
-
-    return wrap
+for _tag, _message_type, _spec in _MESSAGES:
+    _write, _DECODERS[_tag] = struct(_message_type, _spec)
+    _ENCODERS[_message_type] = (_tag, _write)
 
 
 def encode_message(message: Any) -> bytes:
@@ -285,10 +562,6 @@ def set_payload_cache_enabled(enabled: bool) -> bool:
     return previous
 
 
-def payload_cache_enabled() -> bool:
-    return _payload_cache_enabled
-
-
 def clear_payload_cache() -> None:
     _PAYLOAD_CACHE.clear()
 
@@ -307,871 +580,6 @@ def encode_message_cached(message: Any) -> bytes:
 def encoded_size(message: Any) -> int:
     """Exact wire size of a message under this codec."""
     return len(encode_message_cached(message))
-
-
-# -- Prime engine messages ----------------------------------------------------
-
-_register(1, PoRequest)(
-    (
-        lambda out, m: (
-            write_str(out, m.origin),
-            write_varint(out, m.seq),
-            _encode_opaque(out, m.update),
-        ),
-        lambda data, o: _decode_po_request(data, o),
-    )
-)
-
-
-def _encode_opaque(out: bytearray, update: OpaqueUpdate) -> None:
-    write_bytes(out, update.digest)
-    write_varint(out, update.size)
-    nested = update.encoded
-    if nested is None:
-        nested = encode_message_cached(update.payload)
-    write_bytes(out, nested)
-
-
-def _decode_opaque(data: bytes, offset: int) -> Tuple[OpaqueUpdate, int]:
-    digest, offset = read_bytes(data, offset)
-    size, offset = read_varint(data, offset)
-    nested, offset = read_bytes(data, offset)
-    payload, _ = decode_message(nested)
-    return (
-        OpaqueUpdate(digest=digest, payload=payload, size=size, encoded=nested),
-        offset,
-    )
-
-
-def _decode_po_request(data: bytes, offset: int) -> Tuple[PoRequest, int]:
-    origin, offset = read_str(data, offset)
-    seq, offset = read_varint(data, offset)
-    update, offset = _decode_opaque(data, offset)
-    return PoRequest(origin=origin, seq=seq, update=update), offset
-
-
-_register(2, PoAck)(
-    (
-        lambda out, m: (
-            write_str(out, m.origin),
-            write_varint(out, m.seq),
-            write_bytes(out, m.digest),
-        ),
-        lambda data, o: _decode_po_ack(data, o),
-    )
-)
-
-
-def _decode_po_ack(data, offset):
-    origin, offset = read_str(data, offset)
-    seq, offset = read_varint(data, offset)
-    digest, offset = read_bytes(data, offset)
-    return PoAck(origin=origin, seq=seq, digest=digest), offset
-
-
-_register(3, PoAru)(
-    (
-        lambda out, m: write_int_map(out, dict(m.vector)),
-        lambda data, o: _decode_po_aru(data, o),
-    )
-)
-
-
-def _decode_po_aru(data, offset):
-    vector, offset = read_int_map(data, offset)
-    return PoAru(vector=vector), offset
-
-
-_register(4, PrePrepare)(
-    (
-        lambda out, m: (
-            write_varint(out, m.view),
-            write_varint(out, m.seq),
-            write_int_map(out, dict(m.cutoffs)),
-        ),
-        lambda data, o: _decode_pre_prepare(data, o),
-    )
-)
-
-
-def _decode_pre_prepare(data, offset):
-    view, offset = read_varint(data, offset)
-    seq, offset = read_varint(data, offset)
-    cutoffs, offset = read_int_map(data, offset)
-    return PrePrepare(view=view, seq=seq, cutoffs=cutoffs), offset
-
-
-def _vote_codec(message_type):
-    def encode(out, m):
-        write_varint(out, m.view)
-        write_varint(out, m.seq)
-        write_bytes(out, m.content_digest)
-
-    def decode(data, offset):
-        view, offset = read_varint(data, offset)
-        seq, offset = read_varint(data, offset)
-        digest, offset = read_bytes(data, offset)
-        return message_type(view=view, seq=seq, content_digest=digest), offset
-
-    return encode, decode
-
-
-_register(5, Prepare)(_vote_codec(Prepare))
-_register(6, Commit)(_vote_codec(Commit))
-
-_register(7, Heartbeat)(
-    (
-        lambda out, m: write_varint(out, m.view),
-        lambda data, o: (lambda v, o2: (Heartbeat(view=v), o2))(*read_varint(data, o)),
-    )
-)
-
-_register(8, Suspect)(
-    (
-        lambda out, m: write_varint(out, m.target_view),
-        lambda data, o: (lambda v, o2: (Suspect(target_view=v), o2))(*read_varint(data, o)),
-    )
-)
-
-
-def _write_cert(out: bytearray, cert: PreparedCert) -> None:
-    write_varint(out, cert.view)
-    write_varint(out, cert.seq)
-    write_int_map(out, dict(cert.cutoffs))
-
-
-def _read_cert(data, offset):
-    view, offset = read_varint(data, offset)
-    seq, offset = read_varint(data, offset)
-    cutoffs, offset = read_int_map(data, offset)
-    return PreparedCert(view=view, seq=seq, cutoffs=cutoffs), offset
-
-
-def _encode_vc_state(out, m: VcState):
-    write_varint(out, m.view)
-    write_varint(out, m.last_committed)
-    write_varint(out, len(m.prepared))
-    for cert in m.prepared:
-        _write_cert(out, cert)
-
-
-def _decode_vc_state(data, offset):
-    view, offset = read_varint(data, offset)
-    last_committed, offset = read_varint(data, offset)
-    count, offset = read_varint(data, offset)
-    certs = []
-    for _ in range(count):
-        cert, offset = _read_cert(data, offset)
-        certs.append(cert)
-    return VcState(view=view, last_committed=last_committed, prepared=tuple(certs)), offset
-
-
-_register(9, VcState)((_encode_vc_state, _decode_vc_state))
-
-
-def _encode_new_view(out, m: NewView):
-    write_varint(out, m.view)
-    write_varint(out, m.start_seq)
-    write_varint(out, len(m.adopted))
-    for cert in m.adopted:
-        _write_cert(out, cert)
-
-
-def _decode_new_view(data, offset):
-    view, offset = read_varint(data, offset)
-    start_seq, offset = read_varint(data, offset)
-    count, offset = read_varint(data, offset)
-    certs = []
-    for _ in range(count):
-        cert, offset = _read_cert(data, offset)
-        certs.append(cert)
-    return NewView(view=view, start_seq=start_seq, adopted=tuple(certs)), offset
-
-
-_register(10, NewView)((_encode_new_view, _decode_new_view))
-
-_register(11, PoFetch)(
-    (
-        lambda out, m: (write_str(out, m.origin), write_varint(out, m.seq)),
-        lambda data, o: _decode_po_fetch(data, o),
-    )
-)
-
-
-def _decode_po_fetch(data, offset):
-    origin, offset = read_str(data, offset)
-    seq, offset = read_varint(data, offset)
-    return PoFetch(origin=origin, seq=seq), offset
-
-
-_register(12, PoFetchReply)(
-    (
-        lambda out, m: write_bytes(out, encode_message_cached(m.request)),
-        lambda data, o: _decode_po_fetch_reply(data, o),
-    )
-)
-
-
-def _decode_po_fetch_reply(data, offset):
-    nested, offset = read_bytes(data, offset)
-    request, _ = decode_message(nested)
-    return PoFetchReply(request=request), offset
-
-
-def _encode_batch_fetch(out, m: BatchFetch):
-    write_varint(out, len(m.seqs))
-    for seq in m.seqs:
-        write_varint(out, seq)
-
-
-def _decode_batch_fetch(data, offset):
-    count, offset = read_varint(data, offset)
-    seqs = []
-    for _ in range(count):
-        seq, offset = read_varint(data, offset)
-        seqs.append(seq)
-    return BatchFetch(seqs=tuple(seqs)), offset
-
-
-_register(13, BatchFetch)((_encode_batch_fetch, _decode_batch_fetch))
-
-_register(14, BatchFetchReply)(
-    (
-        lambda out, m: (
-            write_varint(out, m.seq),
-            write_int_map(out, dict(m.cutoffs)),
-        ),
-        lambda data, o: _decode_batch_fetch_reply(data, o),
-    )
-)
-
-
-def _decode_batch_fetch_reply(data, offset):
-    seq, offset = read_varint(data, offset)
-    cutoffs, offset = read_int_map(data, offset)
-    return BatchFetchReply(seq=seq, cutoffs=cutoffs), offset
-
-
-# -- CP-ITM messages ------------------------------------------------------------
-
-def _encode_client_update(out, m: ClientUpdate):
-    write_str(out, m.client_id)
-    write_varint(out, m.client_seq)
-    write_str(out, m.body.label)
-    write_bytes(out, m.body.data)
-    write_bytes(out, m.signature)
-
-
-def _decode_client_update(data, offset):
-    client_id, offset = read_str(data, offset)
-    client_seq, offset = read_varint(data, offset)
-    label, offset = read_str(data, offset)
-    body, offset = read_bytes(data, offset)
-    signature, offset = read_bytes(data, offset)
-    return (
-        ClientUpdate(
-            client_id=client_id,
-            client_seq=client_seq,
-            body=Sensitive(body, label=label),
-            signature=signature,
-        ),
-        offset,
-    )
-
-
-_register(20, ClientUpdate)((_encode_client_update, _decode_client_update))
-
-
-def _encode_encrypted_update(out, m: EncryptedUpdate):
-    write_str(out, m.alias)
-    write_varint(out, m.client_seq)
-    write_bytes(out, m.ciphertext)
-    write_bytes(out, m.threshold_sig)
-
-
-def _decode_encrypted_update(data, offset):
-    alias, offset = read_str(data, offset)
-    client_seq, offset = read_varint(data, offset)
-    ciphertext, offset = read_bytes(data, offset)
-    threshold_sig, offset = read_bytes(data, offset)
-    return (
-        EncryptedUpdate(
-            alias=alias,
-            client_seq=client_seq,
-            ciphertext=ciphertext,
-            threshold_sig=threshold_sig,
-        ),
-        offset,
-    )
-
-
-_register(21, EncryptedUpdate)((_encode_encrypted_update, _decode_encrypted_update))
-
-
-def _encode_intro_share(out, m: IntroShare):
-    write_str(out, m.alias)
-    write_varint(out, m.client_seq)
-    write_bytes(out, m.update_digest)
-    _write_partial(out, m.partial)
-
-
-def _decode_intro_share(data, offset):
-    alias, offset = read_str(data, offset)
-    client_seq, offset = read_varint(data, offset)
-    digest, offset = read_bytes(data, offset)
-    partial, offset = _read_partial(data, offset)
-    return (
-        IntroShare(
-            alias=alias, client_seq=client_seq, update_digest=digest, partial=partial
-        ),
-        offset,
-    )
-
-
-_register(22, IntroShare)((_encode_intro_share, _decode_intro_share))
-
-
-def _encode_response_share(out, m: ResponseShare):
-    write_str(out, m.client_id)
-    write_varint(out, m.client_seq)
-    write_bytes(out, m.response_digest)
-    _write_partial(out, m.partial)
-
-
-def _decode_response_share(data, offset):
-    client_id, offset = read_str(data, offset)
-    client_seq, offset = read_varint(data, offset)
-    digest, offset = read_bytes(data, offset)
-    partial, offset = _read_partial(data, offset)
-    return (
-        ResponseShare(
-            client_id=client_id,
-            client_seq=client_seq,
-            response_digest=digest,
-            partial=partial,
-        ),
-        offset,
-    )
-
-
-_register(23, ResponseShare)((_encode_response_share, _decode_response_share))
-
-
-def _encode_client_response(out, m: ClientResponse):
-    write_str(out, m.client_id)
-    write_varint(out, m.client_seq)
-    write_str(out, m.body.label)
-    write_bytes(out, m.body.data)
-    write_bytes(out, m.threshold_sig)
-
-
-def _decode_client_response(data, offset):
-    client_id, offset = read_str(data, offset)
-    client_seq, offset = read_varint(data, offset)
-    label, offset = read_str(data, offset)
-    body, offset = read_bytes(data, offset)
-    threshold_sig, offset = read_bytes(data, offset)
-    return (
-        ClientResponse(
-            client_id=client_id,
-            client_seq=client_seq,
-            body=Sensitive(body, label=label),
-            threshold_sig=threshold_sig,
-        ),
-        offset,
-    )
-
-
-_register(24, ClientResponse)((_encode_client_response, _decode_client_response))
-
-
-def _encode_key_proposal(out, m: KeyProposal):
-    write_str(out, m.alias)
-    write_varint(out, m.range_start)
-    write_varint(out, m.range_end)
-    write_str(out, m.proposer)
-    write_bytes(out, m.encrypted_seed)
-
-
-def _decode_key_proposal(data, offset):
-    alias, offset = read_str(data, offset)
-    range_start, offset = read_varint(data, offset)
-    range_end, offset = read_varint(data, offset)
-    proposer, offset = read_str(data, offset)
-    seed, offset = read_bytes(data, offset)
-    return (
-        KeyProposal(
-            alias=alias,
-            range_start=range_start,
-            range_end=range_end,
-            proposer=proposer,
-            encrypted_seed=seed,
-        ),
-        offset,
-    )
-
-
-_register(25, KeyProposal)((_encode_key_proposal, _decode_key_proposal))
-
-
-def _encode_checkpoint(out, m: CheckpointMsg):
-    write_varint(out, m.ordinal)
-    _write_resume(out, m.resume)
-    _write_blob(out, m.blob)
-    write_str(out, m.signer)
-
-
-def _decode_checkpoint(data, offset):
-    ordinal, offset = read_varint(data, offset)
-    resume, offset = _read_resume(data, offset)
-    blob, offset = _read_blob(data, offset)
-    signer, offset = read_str(data, offset)
-    return CheckpointMsg(ordinal=ordinal, resume=resume, blob=blob, signer=signer), offset
-
-
-_register(26, CheckpointMsg)((_encode_checkpoint, _decode_checkpoint))
-
-def _encode_solicit(out, m: StateXferSolicit):
-    write_str(out, m.requester)
-    write_varint(out, m.nonce)
-    write_varint(out, m.have_seq)
-    write_varint(out, m.have_ordinal)
-
-
-def _decode_solicit(data, offset):
-    requester, offset = read_str(data, offset)
-    nonce, offset = read_varint(data, offset)
-    have_seq, offset = read_varint(data, offset)
-    have_ordinal, offset = read_varint(data, offset)
-    return (
-        StateXferSolicit(
-            requester=requester, nonce=nonce, have_seq=have_seq, have_ordinal=have_ordinal
-        ),
-        offset,
-    )
-
-
-_register(27, StateXferSolicit)((_encode_solicit, _decode_solicit))
-
-
-def _encode_xfer_request(out, m: XferRequest):
-    write_str(out, m.requester)
-    write_varint(out, m.nonce)
-    write_varint(out, m.have_seq)
-    write_varint(out, m.have_ordinal)
-
-
-def _decode_xfer_request(data, offset):
-    requester, offset = read_str(data, offset)
-    nonce, offset = read_varint(data, offset)
-    have_seq, offset = read_varint(data, offset)
-    have_ordinal, offset = read_varint(data, offset)
-    return (
-        XferRequest(
-            requester=requester, nonce=nonce, have_seq=have_seq, have_ordinal=have_ordinal
-        ),
-        offset,
-    )
-
-
-_register(28, XferRequest)((_encode_xfer_request, _decode_xfer_request))
-
-
-def _encode_batch_record(out, m: BatchRecord):
-    write_varint(out, m.batch_seq)
-    _write_resume(out, m.resume)
-    write_varint(out, len(m.entries))
-    for ordinal, payload in m.entries:
-        write_varint(out, ordinal)
-        write_bytes(out, encode_message_cached(payload))
-
-
-def _decode_batch_record(data, offset):
-    batch_seq, offset = read_varint(data, offset)
-    resume, offset = _read_resume(data, offset)
-    count, offset = read_varint(data, offset)
-    entries = []
-    for _ in range(count):
-        ordinal, offset = read_varint(data, offset)
-        nested, offset = read_bytes(data, offset)
-        payload, _ = decode_message(nested)
-        entries.append((ordinal, payload))
-    return BatchRecord(batch_seq=batch_seq, resume=resume, entries=tuple(entries)), offset
-
-
-_register(29, BatchRecord)((_encode_batch_record, _decode_batch_record))
-
-
-def _encode_xfer_response(out, m: StateXferResponse):
-    write_str(out, m.requester)
-    write_varint(out, m.nonce)
-    out.append(1 if m.checkpoint is not None else 0)
-    if m.checkpoint is not None:
-        write_bytes(out, encode_message_cached(m.checkpoint))
-    write_varint(out, len(m.batches))
-    for record in m.batches:
-        write_bytes(out, encode_message_cached(record))
-    write_varint(out, m.view)
-    write_str(out, m.responder)
-    write_varint(out, m.part_index)
-    write_varint(out, m.part_count)
-    write_varint(out, len(m.deltas))
-    for delta in m.deltas:
-        write_bytes(out, encode_message_cached(delta))
-
-
-def _decode_xfer_response(data, offset):
-    requester, offset = read_str(data, offset)
-    nonce, offset = read_varint(data, offset)
-    has_checkpoint = data[offset]
-    offset += 1
-    checkpoint = None
-    if has_checkpoint:
-        nested, offset = read_bytes(data, offset)
-        checkpoint, _ = decode_message(nested)
-    count, offset = read_varint(data, offset)
-    batches = []
-    for _ in range(count):
-        nested, offset = read_bytes(data, offset)
-        record, _ = decode_message(nested)
-        batches.append(record)
-    view, offset = read_varint(data, offset)
-    responder, offset = read_str(data, offset)
-    part_index, offset = read_varint(data, offset)
-    part_count, offset = read_varint(data, offset)
-    delta_count, offset = read_varint(data, offset)
-    deltas = []
-    for _ in range(delta_count):
-        nested, offset = read_bytes(data, offset)
-        delta, _ = decode_message(nested)
-        deltas.append(delta)
-    return (
-        StateXferResponse(
-            requester=requester,
-            nonce=nonce,
-            checkpoint=checkpoint,
-            batches=tuple(batches),
-            view=view,
-            responder=responder,
-            part_index=part_index,
-            part_count=part_count,
-            deltas=tuple(deltas),
-        ),
-        offset,
-    )
-
-
-_register(30, StateXferResponse)((_encode_xfer_response, _decode_xfer_response))
-
-
-def _encode_checkpoint_delta(out, m: CheckpointDeltaMsg):
-    write_varint(out, m.ordinal)
-    write_varint(out, m.base_ordinal)
-    write_varint(out, m.full_ordinal)
-    _write_resume(out, m.resume)
-    _write_blob(out, m.blob)
-    write_str(out, m.signer)
-
-
-def _decode_checkpoint_delta(data, offset):
-    ordinal, offset = read_varint(data, offset)
-    base_ordinal, offset = read_varint(data, offset)
-    full_ordinal, offset = read_varint(data, offset)
-    resume, offset = _read_resume(data, offset)
-    blob, offset = _read_blob(data, offset)
-    signer, offset = read_str(data, offset)
-    return (
-        CheckpointDeltaMsg(
-            ordinal=ordinal,
-            base_ordinal=base_ordinal,
-            full_ordinal=full_ordinal,
-            resume=resume,
-            blob=blob,
-            signer=signer,
-        ),
-        offset,
-    )
-
-
-_register(40, CheckpointDeltaMsg)((_encode_checkpoint_delta, _decode_checkpoint_delta))
-
-
-# -- BatchLab messages ---------------------------------------------------------
-
-
-def _write_proof(out: bytearray, proof: MerkleProof) -> None:
-    write_varint(out, proof.leaf_index)
-    write_varint(out, len(proof.path))
-    for sibling, sibling_is_right in proof.path:
-        write_bytes(out, sibling)
-        out.append(1 if sibling_is_right else 0)
-
-
-def _read_proof(data: bytes, offset: int) -> Tuple[MerkleProof, int]:
-    leaf_index, offset = read_varint(data, offset)
-    count, offset = read_varint(data, offset)
-    path = []
-    for _ in range(count):
-        sibling, offset = read_bytes(data, offset)
-        sibling_is_right = bool(data[offset])
-        offset += 1
-        path.append((sibling, sibling_is_right))
-    return MerkleProof(leaf_index=leaf_index, path=tuple(path)), offset
-
-
-def _encode_batch_proposal(out, m: BatchProposal):
-    write_str(out, m.proposer)
-    write_varint(out, m.batch_no)
-    write_varint(out, len(m.items))
-    for item in m.items:
-        write_bytes(out, encode_message_cached(item))
-
-
-def _decode_batch_proposal(data, offset):
-    proposer, offset = read_str(data, offset)
-    batch_no, offset = read_varint(data, offset)
-    count, offset = read_varint(data, offset)
-    items = []
-    for _ in range(count):
-        nested, offset = read_bytes(data, offset)
-        item, _ = decode_message(nested)
-        items.append(item)
-    return (
-        BatchProposal(proposer=proposer, batch_no=batch_no, items=tuple(items)),
-        offset,
-    )
-
-
-_register(31, BatchProposal)((_encode_batch_proposal, _decode_batch_proposal))
-
-
-def _encode_batch_share(out, m: BatchShare):
-    write_str(out, m.proposer)
-    write_varint(out, m.batch_no)
-    write_bytes(out, m.root)
-    write_varint(out, m.count)
-    _write_partial(out, m.partial)
-
-
-def _decode_batch_share(data, offset):
-    proposer, offset = read_str(data, offset)
-    batch_no, offset = read_varint(data, offset)
-    root, offset = read_bytes(data, offset)
-    count, offset = read_varint(data, offset)
-    partial, offset = _read_partial(data, offset)
-    return (
-        BatchShare(
-            proposer=proposer, batch_no=batch_no, root=root, count=count, partial=partial
-        ),
-        offset,
-    )
-
-
-_register(32, BatchShare)((_encode_batch_share, _decode_batch_share))
-
-
-def _encode_signed_batch(out, m: SignedUpdateBatch):
-    write_bytes(out, m.root)
-    write_varint(out, len(m.items))
-    for item in m.items:
-        write_bytes(out, encode_message_cached(item))
-    write_bytes(out, m.threshold_sig)
-
-
-def _decode_signed_batch(data, offset):
-    root, offset = read_bytes(data, offset)
-    count, offset = read_varint(data, offset)
-    items = []
-    for _ in range(count):
-        nested, offset = read_bytes(data, offset)
-        item, _ = decode_message(nested)
-        items.append(item)
-    threshold_sig, offset = read_bytes(data, offset)
-    return (
-        SignedUpdateBatch(root=root, items=tuple(items), threshold_sig=threshold_sig),
-        offset,
-    )
-
-
-_register(33, SignedUpdateBatch)((_encode_signed_batch, _decode_signed_batch))
-
-
-def _encode_response_batch_share(out, m: ResponseBatchShare):
-    write_bytes(out, m.root)
-    write_varint(out, m.count)
-    _write_partial(out, m.partial)
-
-
-def _decode_response_batch_share(data, offset):
-    root, offset = read_bytes(data, offset)
-    count, offset = read_varint(data, offset)
-    partial, offset = _read_partial(data, offset)
-    return ResponseBatchShare(root=root, count=count, partial=partial), offset
-
-
-_register(34, ResponseBatchShare)(
-    (_encode_response_batch_share, _decode_response_batch_share)
-)
-
-
-def _encode_certified_response(out, m: CertifiedResponse):
-    write_str(out, m.client_id)
-    write_varint(out, m.client_seq)
-    write_str(out, m.body.label)
-    write_bytes(out, m.body.data)
-    write_bytes(out, m.batch_root)
-    write_varint(out, m.batch_count)
-    write_bytes(out, m.batch_sig)
-    _write_proof(out, m.proof)
-
-
-def _decode_certified_response(data, offset):
-    client_id, offset = read_str(data, offset)
-    client_seq, offset = read_varint(data, offset)
-    label, offset = read_str(data, offset)
-    body, offset = read_bytes(data, offset)
-    batch_root, offset = read_bytes(data, offset)
-    batch_count, offset = read_varint(data, offset)
-    batch_sig, offset = read_bytes(data, offset)
-    proof, offset = _read_proof(data, offset)
-    return (
-        CertifiedResponse(
-            client_id=client_id,
-            client_seq=client_seq,
-            body=Sensitive(body, label=label),
-            batch_root=batch_root,
-            batch_count=batch_count,
-            batch_sig=batch_sig,
-            proof=proof,
-        ),
-        offset,
-    )
-
-
-_register(35, CertifiedResponse)(
-    (_encode_certified_response, _decode_certified_response)
-)
-
-
-# ---------------------------------------------------------------------------
-# ShardLab (tags 36-39)
-# ---------------------------------------------------------------------------
-
-
-def _encode_shard_map_announce(out, m: ShardMapAnnounce):
-    write_varint(out, m.seed)
-    write_varint(out, m.shards)
-    write_varint(out, m.version)
-
-
-def _decode_shard_map_announce(data, offset):
-    seed, offset = read_varint(data, offset)
-    shards, offset = read_varint(data, offset)
-    version, offset = read_varint(data, offset)
-    return ShardMapAnnounce(seed=seed, shards=shards, version=version), offset
-
-
-_register(36, ShardMapAnnounce)(
-    (_encode_shard_map_announce, _decode_shard_map_announce)
-)
-
-
-def _encode_xshard_intent(out, m: CrossShardIntent):
-    write_str(out, m.client_id)
-    write_varint(out, m.client_seq)
-    write_varint(out, m.home_shard)
-    write_varint(out, len(m.targets))
-    for target in m.targets:
-        write_varint(out, target)
-    _write_blob(out, m.body)
-
-
-def _decode_xshard_intent(data, offset):
-    client_id, offset = read_str(data, offset)
-    client_seq, offset = read_varint(data, offset)
-    home_shard, offset = read_varint(data, offset)
-    count, offset = read_varint(data, offset)
-    targets = []
-    for _ in range(count):
-        target, offset = read_varint(data, offset)
-        targets.append(target)
-    body, offset = _read_blob(data, offset)
-    return (
-        CrossShardIntent(
-            client_id=client_id,
-            client_seq=client_seq,
-            home_shard=home_shard,
-            targets=tuple(targets),
-            body=body,
-        ),
-        offset,
-    )
-
-
-_register(37, CrossShardIntent)((_encode_xshard_intent, _decode_xshard_intent))
-
-
-def _encode_xshard_prepare(out, m: CrossShardPrepare):
-    write_str(out, m.client_id)
-    write_varint(out, m.client_seq)
-    write_varint(out, m.home_shard)
-    write_bytes(out, m.intent_digest)
-    write_varint(out, m.cert_kind)
-    write_bytes(out, m.cert_sig)
-    write_bytes(out, m.batch_root)
-    write_varint(out, m.batch_count)
-    if m.proof is not None:
-        out.append(1)
-        _write_proof(out, m.proof)
-    else:
-        out.append(0)
-
-
-def _decode_xshard_prepare(data, offset):
-    client_id, offset = read_str(data, offset)
-    client_seq, offset = read_varint(data, offset)
-    home_shard, offset = read_varint(data, offset)
-    intent_digest, offset = read_bytes(data, offset)
-    cert_kind, offset = read_varint(data, offset)
-    cert_sig, offset = read_bytes(data, offset)
-    batch_root, offset = read_bytes(data, offset)
-    batch_count, offset = read_varint(data, offset)
-    has_proof = data[offset]
-    offset += 1
-    proof = None
-    if has_proof:
-        proof, offset = _read_proof(data, offset)
-    return (
-        CrossShardPrepare(
-            client_id=client_id,
-            client_seq=client_seq,
-            home_shard=home_shard,
-            intent_digest=intent_digest,
-            cert_kind=cert_kind,
-            cert_sig=cert_sig,
-            batch_root=batch_root,
-            batch_count=batch_count,
-            proof=proof,
-        ),
-        offset,
-    )
-
-
-_register(38, CrossShardPrepare)((_encode_xshard_prepare, _decode_xshard_prepare))
-
-
-def _encode_xshard_commit(out, m: CrossShardCommit):
-    _encode_xshard_intent(out, m.intent)
-    _encode_xshard_prepare(out, m.prepare)
-
-
-def _decode_xshard_commit(data, offset):
-    intent, offset = _decode_xshard_intent(data, offset)
-    prepare, offset = _decode_xshard_prepare(data, offset)
-    return CrossShardCommit(intent=intent, prepare=prepare), offset
-
-
-_register(39, CrossShardCommit)((_encode_xshard_commit, _decode_xshard_commit))
 
 
 def registered_types() -> List[Type]:

@@ -28,7 +28,7 @@ import asyncio
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 from repro.cache import BoundedLru, FrameCache
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.net.overlay import Overlay
 from repro.net.topology import Topology
 from repro.obs.hlc import HlcTimestamp, HybridLogicalClock
@@ -190,8 +190,8 @@ class LiveTransport:
                         self._deliver(src, local_host, message, ctx)
             except (ConnectionError, asyncio.IncompleteReadError):
                 pass
-            except Exception:  # corrupt frame: drop the connection
-                pass
+            except ProtocolError:  # corrupt frame: drop the connection
+                self._count_drop("frame", "corrupt")
             finally:
                 writer.close()
 

@@ -31,6 +31,7 @@ from repro.core.app import Application
 from repro.core.messages import response_batch_signing_bytes
 from repro.crypto.merkle import verify_inclusion
 from repro.crypto.verifycache import verify_with
+from repro.errors import ProtocolError
 from repro.shard.messages import (
     XS_COMMIT_MAGIC,
     XS_INTENT_MAGIC,
@@ -116,7 +117,7 @@ class ShardAwareApplication(Application):
     ) -> bytes:
         try:
             intent = self._decode(body[len(XS_INTENT_MAGIC):])
-        except Exception:
+        except ProtocolError:
             self.cross_rejected += 1
             return XS_REJECT + b"|malformed-intent"
         if not isinstance(intent, CrossShardIntent):
@@ -136,7 +137,7 @@ class ShardAwareApplication(Application):
     def _execute_commit(self, body: bytes) -> bytes:
         try:
             commit = self._decode(body[len(XS_COMMIT_MAGIC):])
-        except Exception:
+        except ProtocolError:
             self.cross_rejected += 1
             return XS_REJECT + b"|malformed-commit"
         if not isinstance(commit, CrossShardCommit):

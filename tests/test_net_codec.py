@@ -45,6 +45,7 @@ from repro.net.codec import (
     encoded_size,
     read_varint,
     registered_types,
+    write_bytes,
     write_varint,
 )
 from repro.shard.messages import (
@@ -393,6 +394,94 @@ def test_stream_of_messages_decodes_sequentially():
         message, offset = decode_message(stream, offset)
         decoded.append(message)
     assert decoded == PRIME_MESSAGES[:5]
+
+
+# -- hostile input: only ProtocolError may escape decode ------------------------
+
+
+@pytest.mark.parametrize("name", sorted(VECTORS))
+def test_every_strict_prefix_raises_protocol_error(name):
+    data = bytes.fromhex(VECTORS[name])
+    for cut in range(len(data)):
+        with pytest.raises(ProtocolError):
+            decode_message(data[:cut])
+
+
+def _set_first_difference(left, right, value):
+    """Encode both; overwrite the first byte where they differ (a flag,
+    presence or blob-kind byte) with ``value``."""
+    a, b = encode_message(left), encode_message(right)
+    index = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    return a[:index] + bytes([value]) + a[index + 1:]
+
+
+def _length_prefixed(tag, body):
+    out = bytearray([tag])
+    write_bytes(out, body)
+    return bytes(out)
+
+
+def _tower(levels):
+    data = encode_message(PoFetch(origin="a", seq=1))
+    for _ in range(levels):
+        data = _length_prefixed(12, data)  # PoFetchReply(request=<nested>)
+    return data
+
+
+_PLAIN_PARTIAL = PartialSignature(signer=3, value=2 ** 300 + 5)
+_PROVEN_PARTIAL = PartialSignature(signer=3, value=2 ** 300 + 5, proof=ShareProof(challenge=7, response=9))
+MALFORMED = {
+    "invalid-utf8-str": bytes([2, 2, 0xFF, 0xFE, 1, 0]),
+    "nesting-tower": _tower(2000),
+    "nested-junk-po-fetch-reply": _length_prefixed(12, encode_message(PoFetch(origin="a", seq=1)) + b"JUNK"),
+    # Encoding forwards OpaqueUpdate.encoded verbatim, junk included.
+    "nested-junk-po-request": encode_message(PoRequest(origin="r0#0", seq=3, update=OpaqueUpdate(digest=b"\x05" * 32, payload=SAMPLE_ENCRYPTED, size=200, encoded=encode_message(SAMPLE_ENCRYPTED) + b"JUNK"))),
+    "optional-presence-2": _set_first_difference(
+        ResponseBatchShare(root=b"r", count=1, partial=_PROVEN_PARTIAL),
+        ResponseBatchShare(root=b"r", count=1, partial=_PLAIN_PARTIAL),
+        2,
+    ),
+    "blob-kind-2": _set_first_difference(
+        CheckpointMsg(ordinal=1, resume=SAMPLE_RESUME, blob=b"c", signer="r"),
+        CheckpointMsg(ordinal=1, resume=SAMPLE_RESUME, blob=Sensitive(b"c", label="l"), signer="r"),
+        2,
+    ),
+    "flag-2": _set_first_difference(
+        CertifiedResponse(client_id="c", client_seq=1, body=Sensitive(b"OK"), batch_root=b"r", batch_count=1, batch_sig=b"s", proof=MerkleProof(leaf_index=0, path=((b"x", False),))),
+        CertifiedResponse(client_id="c", client_seq=1, body=Sensitive(b"OK"), batch_root=b"r", batch_count=1, batch_sig=b"s", proof=MerkleProof(leaf_index=0, path=((b"x", True),))),
+        2,
+    ),
+    # value 0 is written as magnitude 01 00 (then the proof-presence byte);
+    # a zero-length magnitude would re-encode one byte longer.
+    "empty-bigint": encode_message(ResponseBatchShare(root=b"r", count=1, partial=PartialSignature(signer=3, value=0)))[:-3] + b"\x00\x00",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_raises_protocol_error(name):
+    with pytest.raises(ProtocolError):
+        decode_message(MALFORMED[name])
+
+
+def test_legitimate_nesting_depth_is_accepted():
+    # state transfer -> batch record -> signed batch -> encrypted update
+    # is the deepest the protocol nests; a few levels more still decode.
+    roundtrip(decode_message(_tower(6))[0])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_vectors_raise_only_protocol_error(data):
+    raw = bytearray.fromhex(data.draw(st.sampled_from(sorted(VECTORS.values()))))
+    for _ in range(data.draw(st.integers(1, 4))):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    try:
+        message, end = decode_message(bytes(raw))
+    except ProtocolError:
+        return
+    # Whatever still decodes is no bigger than what was read, so a peer
+    # cannot make this node forward or persist more than it sent.
+    assert len(encode_message(message)) <= end
 
 
 if __name__ == "__main__":

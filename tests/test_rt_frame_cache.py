@@ -15,6 +15,7 @@ from repro.core.messages import EncryptedUpdate
 from repro.net.topology import SiteKind, Topology
 from repro.obs.registry import MetricsRegistry
 from repro.rt.transport import LiveTransport
+from repro.rt.wire import WIRE_MAGIC
 
 
 def _topology() -> Topology:
@@ -115,3 +116,37 @@ def test_multicast_skips_self_and_delivers_to_all_peers():
         senders = {src for src, _message in received}
         assert host not in senders
         assert senders == set(hosts) - {host}
+
+
+def test_corrupt_frame_drops_the_connection_and_is_counted():
+    """A frame whose message body the codec rejects closes the inbound
+    connection and shows up as net.drop{type=frame, reason=corrupt}."""
+
+    class Writer:
+        closed = False
+
+        def close(self):
+            self.closed = True
+
+    loop = asyncio.new_event_loop()
+    try:
+        metrics = MetricsRegistry()
+        transport = LiveTransport(
+            _topology(), {"dc-1-r0": 0}, latency=False, loop=loop, metrics=metrics
+        )
+        transport.register("dc-1-r0", lambda src, message: None)
+        # src "a", then a PoAck (tag 2) whose origin is not valid UTF-8.
+        body = bytes([1, ord("a"), 2, 2, 0xFF, 0xFE, 1, 0])
+        writer = Writer()
+
+        async def serve_one_connection():
+            reader = asyncio.StreamReader()
+            reader.feed_data(WIRE_MAGIC + bytes([1, 0]) + len(body).to_bytes(4, "big") + body)
+            reader.feed_eof()
+            await transport._make_reader("dc-1-r0")(reader, writer)
+
+        loop.run_until_complete(serve_one_connection())
+        assert writer.closed
+        assert metrics.counter_values()[("net.drop", (("reason", "corrupt"), ("type", "frame")))] == 1
+    finally:
+        loop.close()

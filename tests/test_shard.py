@@ -84,6 +84,19 @@ class TestCrossShard:
         ):
             assert milestone in categories, milestone
 
+    def test_malformed_cross_shard_bodies_are_rejected_not_raised(self):
+        from repro.core.app import KeyValueApplication
+        from repro.shard.app import ShardAwareApplication, ShardCrossContext
+        from repro.shard.messages import XS_COMMIT_MAGIC, XS_INTENT_MAGIC, XS_REJECT
+
+        app = ShardAwareApplication(KeyValueApplication(), 0, ShardCrossContext())
+        # Tag 37 (CrossShardIntent) with an invalid UTF-8 client_id; an
+        # unknown tag; an empty body.
+        for garbage in (bytes([37, 2, 0xFF, 0xFE]), b"\xff", b""):
+            assert app.execute("c", 1, XS_INTENT_MAGIC + garbage) == XS_REJECT + b"|malformed-intent"
+            assert app.execute("c", 1, XS_COMMIT_MAGIC + garbage) == XS_REJECT + b"|malformed-commit"
+        assert app.cross_rejected == 6
+
 
 class TestObservability:
     def test_per_shard_metric_labels(self, sharded):
