@@ -33,6 +33,17 @@ from typing import Dict, List
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.rt.bootstrap import RtConfig, generate_fleet  # noqa: E402
+from repro.system.config import (  # noqa: E402
+    add_config_flags,
+    config_argv,
+    config_from_args,
+)
+
+#: The RtConfig fields this script takes as options and hands on to
+#: ``gen_rt_spec.py`` in the spec-init service (the load ones only for an
+#: open-loop fleet).
+FLEET_KNOBS = ("mode", "f", "num_clients", "seed", "shards", "base_port")
+LOAD_KNOBS = ("load_profile", "load_rate", "load_aliases", "load_duration")
 
 HEALTH_CMD = ["CMD", "python", "scripts/rt_health.py"]
 
@@ -116,24 +127,9 @@ def build_compose(config: RtConfig) -> Dict:
             "command": [
                 "python", "scripts/gen_rt_spec.py",
                 "--out", "/fleet/spec.json",
-                "--mode", config.mode,
-                "--f", str(config.f),
-                "--clients", str(config.num_clients),
-                "--seed", str(config.seed),
-                "--shards", str(config.shards),
-                "--base-port", str(config.base_port),
-                "--updates", str(config.updates_per_client),
-                "--interval", str(config.update_interval),
-            ] + (
-                [
-                    "--load-profile", config.load_profile,
-                    "--load-rate", str(config.load_rate),
-                    "--load-aliases", str(config.load_aliases),
-                    "--load-duration", str(config.load_duration),
-                ]
-                if config.load_profile
-                else []
-            ),
+            ] + config_argv(
+                config, FLEET_KNOBS + ("updates_per_client", "update_interval")
+            ) + (config_argv(config, LOAD_KNOBS) if config.load_profile else []),
             "volumes": ["fleet-data:/fleet"],
             "depends_on": {"net": {"condition": "service_started"}},
             "restart": "no",
@@ -172,31 +168,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None,
                         help="write here (default: stdout)")
-    parser.add_argument("--mode", default="confidential",
-                        choices=("confidential", "spire"))
-    parser.add_argument("--f", dest="f", type=int, default=1)
-    parser.add_argument("--clients", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--base-port", type=int, default=17000)
-    parser.add_argument("--load-profile", default="")
-    parser.add_argument("--load-rate", type=float, default=20.0)
-    parser.add_argument("--load-aliases", type=int, default=200)
-    parser.add_argument("--load-duration", type=float, default=10.0)
+    add_config_flags(parser, RtConfig, FLEET_KNOBS + LOAD_KNOBS)
     args = parser.parse_args(argv)
 
-    config = RtConfig(
-        mode=args.mode,
-        f=args.f,
-        num_clients=args.clients,
-        seed=args.seed,
-        shards=args.shards,
-        base_port=args.base_port,
-        load_profile=args.load_profile,
-        load_rate=args.load_rate,
-        load_aliases=args.load_aliases,
-        load_duration=args.load_duration,
-    )
+    config = config_from_args(RtConfig, args, FLEET_KNOBS + LOAD_KNOBS)
     text = render(config)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -7,8 +7,9 @@ derives its material independently from one spec file on the shared
 renders the spec exactly once (stamping the shared wall-clock epoch at
 fleet start), then every replica/client container reads it.
 
-Flags mirror the RtConfig knobs the fleet manifest exposes; defaults
-match :class:`repro.rt.bootstrap.RtConfig`.
+Flags are generated from the :class:`repro.rt.bootstrap.RtConfig` fields
+the fleet manifest exposes (``KNOBS``), so spelling and defaults are the
+config's own.
 """
 
 from __future__ import annotations
@@ -21,47 +22,25 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.rt.bootstrap import RtConfig  # noqa: E402
+from repro.system.config import add_config_flags, config_from_args  # noqa: E402
+
+KNOBS = (
+    "mode", "f", "num_clients", "seed", "shards", "base_port",
+    "updates_per_client", "update_interval", "durable_store",
+    "load_profile", "load_rate", "load_aliases", "load_duration",
+)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="where to write spec.json")
-    parser.add_argument("--mode", default="confidential",
-                        choices=("confidential", "spire"))
-    parser.add_argument("--f", dest="f", type=int, default=1)
-    parser.add_argument("--clients", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--base-port", type=int, default=17000)
-    parser.add_argument("--updates", type=int, default=100)
-    parser.add_argument("--interval", type=float, default=0.02)
     parser.add_argument("--out-dir", default="/fleet/out",
                         help="artifact directory inside the containers")
-    parser.add_argument("--no-durable-store", dest="durable_store",
-                        action="store_false")
-    parser.add_argument("--load-profile", default="",
-                        help="open-loop arrival profile (empty = closed loop)")
-    parser.add_argument("--load-rate", type=float, default=20.0)
-    parser.add_argument("--load-aliases", type=int, default=200)
-    parser.add_argument("--load-duration", type=float, default=10.0)
+    add_config_flags(parser, RtConfig, KNOBS)
     args = parser.parse_args(argv)
 
-    config = RtConfig(
-        mode=args.mode,
-        f=args.f,
-        num_clients=args.clients,
-        seed=args.seed,
-        shards=args.shards,
-        base_port=args.base_port,
-        updates_per_client=args.updates,
-        update_interval=args.interval,
-        out_dir=args.out_dir,
-        durable_store=args.durable_store,
-        epoch=time.time(),
-        load_profile=args.load_profile,
-        load_rate=args.load_rate,
-        load_aliases=args.load_aliases,
-        load_duration=args.load_duration,
+    config = config_from_args(
+        RtConfig, args, KNOBS, out_dir=args.out_dir, epoch=time.time()
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

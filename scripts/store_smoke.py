@@ -25,8 +25,11 @@ from pathlib import Path
 
 from repro.rt.bootstrap import RtConfig
 from repro.rt.launcher import Launcher
+from repro.system.config import add_config_flags, config_from_args
 
 TARGET = "dc-1-r0"
+KNOBS = ("out_dir", "seed", "num_clients", "updates_per_client",
+         "update_interval", "base_port")
 
 
 async def run(config: RtConfig, timeout: float) -> int:
@@ -80,23 +83,13 @@ async def run(config: RtConfig, timeout: float) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="store-smoke")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--clients", type=int, default=2)
-    parser.add_argument("--updates", type=int, default=60)
-    parser.add_argument("--interval", type=float, default=0.15)
-    parser.add_argument("--base-port", type=int, default=23600)
+    add_config_flags(parser, RtConfig, KNOBS)
+    # Smoke-sized: two slow clients keep the log growing across the kill.
+    parser.set_defaults(out="store-smoke", seed=7, clients=2, updates=60,
+                        interval=0.15, base_port=23600)
     parser.add_argument("--timeout", type=float, default=120.0)
     args = parser.parse_args()
-    config = RtConfig(
-        seed=args.seed,
-        num_clients=args.clients,
-        updates_per_client=args.updates,
-        update_interval=args.interval,
-        base_port=args.base_port,
-        out_dir=args.out,
-    )
-    return asyncio.run(run(config, args.timeout))
+    return asyncio.run(run(config_from_args(RtConfig, args, KNOBS), args.timeout))
 
 
 if __name__ == "__main__":

@@ -26,9 +26,31 @@ from typing import List, Optional
 
 from repro import analysis
 from repro.core.distribution import plan_spire, table_one
+from repro.faultlab.runner import FaultLabConfig
+from repro.rt.bootstrap import RtConfig
 from repro.system import Mode, SystemConfig, build
+from repro.system.config import add_config_flags, config_from_args
 
 ATTACKS = ("none", "leader-site", "non-leader-site", "data-center", "leader-recovery")
+
+# The config fields each subcommand exposes as options. The options are
+# generated from the fields (repro.system.config.add_config_flags) and read
+# back by name (config_from_args), so a knob is spelled once, on its field.
+_OBS_KNOBS = ("mode", "f", "data_centers", "num_clients", "seed", "update_interval")
+_RUN_KNOBS = _OBS_KNOBS + (
+    "intro_batch_size", "intro_batch_window", "key_renewal_enabled",
+    "wan_loss_probability",
+)
+_COMPARE_KNOBS = ("f", "seed")
+_RT_KNOBS = (
+    "mode", "f", "data_centers", "num_clients", "updates_per_client",
+    "update_interval", "seed", "shards", "base_port", "latency", "out_dir",
+    "intro_batch_size", "intro_batch_window", "crypto_workers",
+    "checkpoint_delta_interval", "store_compaction_interval",
+    "store_compaction_budget", "trace_wire", "telemetry_interval", "detectors",
+    "load_profile", "load_rate", "load_aliases", "load_duration",
+)
+_FAULTLAB_KNOBS = ("mode", "f", "intro_batch_size", "key_renewal_enabled", "detectors")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -39,19 +61,11 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one deployment and report")
-    run.add_argument("--mode", choices=[m.value for m in Mode], default="confidential")
-    run.add_argument("--f", dest="f", type=int, default=1, help="tolerated intrusions")
-    run.add_argument("--data-centers", type=int, default=2)
-    run.add_argument("--clients", type=int, default=10)
+    add_config_flags(run, SystemConfig, _RUN_KNOBS, help={
+        "f": "tolerated intrusions",
+        "update_interval": "per-client update period",
+    })
     run.add_argument("--duration", type=float, default=30.0, help="workload seconds")
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--interval", type=float, default=1.0, help="per-client update period")
-    run.add_argument("--batch-size", type=int, default=1,
-                     help="intro batch size (1 = singleton path)")
-    run.add_argument("--batch-window", type=float, default=0.02,
-                     help="intro batch flush window in seconds")
-    run.add_argument("--key-renewal", action="store_true")
-    run.add_argument("--loss", type=float, default=0.0, help="WAN loss probability")
     run.add_argument("--attack", choices=ATTACKS, default="none")
     run.add_argument("--csv", action="store_true", help="dump latency CSV instead of a report")
     run.add_argument("--histogram", action="store_true", help="include an ASCII latency histogram")
@@ -64,13 +78,8 @@ def make_parser() -> argparse.ArgumentParser:
         "obs", help="run a deployment and export the observability bundle; "
                     "'obs top'/'obs tail' attach to a live fleet"
     )
-    obs.add_argument("--mode", choices=[m.value for m in Mode], default="confidential")
-    obs.add_argument("--f", dest="f", type=int, default=1)
-    obs.add_argument("--data-centers", type=int, default=2)
-    obs.add_argument("--clients", type=int, default=10)
+    add_config_flags(obs, SystemConfig, _OBS_KNOBS)
     obs.add_argument("--duration", type=float, default=30.0)
-    obs.add_argument("--seed", type=int, default=1)
-    obs.add_argument("--interval", type=float, default=1.0)
     obs.add_argument("--attack", choices=ATTACKS, default="none")
     obs.add_argument("--out", metavar="DIR",
                      help="directory for metrics.prom / *.jsonl / trace.json "
@@ -111,9 +120,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_obs_args(scenario)
 
     compare = sub.add_parser("compare", help="Spire vs Confidential Spire, side by side")
-    compare.add_argument("--f", dest="f", type=int, default=1)
+    add_config_flags(compare, SystemConfig, _COMPARE_KNOBS)
     compare.add_argument("--duration", type=float, default=30.0)
-    compare.add_argument("--seed", type=int, default=1)
 
     rt = sub.add_parser(
         "rt", help="live runtime: real processes over real sockets"
@@ -123,60 +131,9 @@ def make_parser() -> argparse.ArgumentParser:
     rt_run = rt_sub.add_parser(
         "run", help="launch a live deployment and drive a workload"
     )
-    rt_run.add_argument("--mode", choices=[m.value for m in Mode], default="confidential")
-    rt_run.add_argument("--f", dest="f", type=int, default=1)
-    rt_run.add_argument("--data-centers", type=int, default=2)
-    rt_run.add_argument("--clients", type=int, default=5)
-    rt_run.add_argument("--updates", type=int, default=100,
-                        help="updates per client (closed loop)")
-    rt_run.add_argument("--interval", type=float, default=0.02,
-                        help="pacing delay between a client's updates")
-    rt_run.add_argument("--seed", type=int, default=1)
-    rt_run.add_argument("--shards", type=int, default=1,
-                        help="independent replica groups; clients are "
-                             "routed to their home shard")
-    rt_run.add_argument("--base-port", type=int, default=17000)
-    rt_run.add_argument("--no-latency", dest="latency", action="store_false",
-                        help="disable emulated site latencies")
-    rt_run.add_argument("--out", default="rt-out", metavar="DIR",
-                        help="artifacts: spec, logs, per-node slices, merged bundle")
+    add_config_flags(rt_run, RtConfig, _RT_KNOBS)
     rt_run.add_argument("--timeout", type=float, default=300.0,
                         help="workload wall-clock limit in seconds")
-    rt_run.add_argument("--batch-size", type=int, default=1,
-                        help="intro batch size (1 = singleton path)")
-    rt_run.add_argument("--batch-window", type=float, default=0.02,
-                        help="intro batch flush window in seconds")
-    rt_run.add_argument("--crypto-workers", type=int, default=0,
-                        help="crypto worker processes per replica "
-                             "(0 = in-process signing)")
-    rt_run.add_argument("--delta-interval", type=int, default=0,
-                        help="full checkpoint every N-th checkpoint, "
-                             "encrypted state deltas between (0 = every "
-                             "checkpoint is a full snapshot)")
-    rt_run.add_argument("--compaction-interval", type=float, default=0.0,
-                        help="seconds between background log-compaction "
-                             "ticks (0 = compaction off)")
-    rt_run.add_argument("--compaction-budget", type=int, default=2,
-                        help="sealed segments rewritten per compaction tick")
-    rt_run.add_argument("--no-trace-wire", dest="trace_wire",
-                        action="store_false",
-                        help="disable wire-level trace context propagation")
-    rt_run.add_argument("--telemetry-interval", type=float, default=1.0,
-                        help="seconds between telemetry snapshots "
-                             "(0 = disable the watch loop)")
-    rt_run.add_argument("--no-detectors", dest="detectors",
-                        action="store_false",
-                        help="disable online anomaly detectors")
-    rt_run.add_argument("--load-profile", default="",
-                        choices=("", "poisson", "bursty", "diurnal", "storm"),
-                        help="open-loop arrival profile for the client "
-                             "drivers (default: closed loop)")
-    rt_run.add_argument("--load-rate", type=float, default=20.0,
-                        help="aggregate offered arrivals/s across clients")
-    rt_run.add_argument("--load-aliases", type=int, default=200,
-                        help="distinct client aliases fleet-wide")
-    rt_run.add_argument("--load-duration", type=float, default=10.0,
-                        help="open-loop generation window in seconds")
 
     rt_node = rt_sub.add_parser(
         "node", help="run one node process (spawned by the launcher)"
@@ -206,14 +163,7 @@ def make_parser() -> argparse.ArgumentParser:
                           help="first seed of the sweep")
     faultlab.add_argument("--seed", type=int, default=None,
                           help="replay exactly one seed (overrides --seeds)")
-    faultlab.add_argument("--mode", choices=[m.value for m in Mode],
-                          default="confidential")
-    faultlab.add_argument("--f", dest="f", type=int, default=1)
-    faultlab.add_argument("--batch-size", type=int, default=1,
-                          help="intro batch size to sweep under "
-                               "(1 = singleton path)")
-    faultlab.add_argument("--key-renewal", action="store_true",
-                          help="enable key renewal (checks bounded disclosure)")
+    add_config_flags(faultlab, FaultLabConfig, _FAULTLAB_KNOBS)
     faultlab.add_argument("--plant-leak", action="store_true",
                           help="inject a deliberate plaintext leak "
                                "(validates the checker; run MUST fail)")
@@ -229,9 +179,6 @@ def make_parser() -> argparse.ArgumentParser:
     faultlab.add_argument("--obs-out", metavar="DIR",
                           help="write an observability bundle per seed "
                                "(DIR/seed-N/)")
-    faultlab.add_argument("--detect", action="store_true",
-                          help="run the online anomaly detectors and score "
-                               "fault -> detection coverage per seed")
 
     perf = sub.add_parser(
         "perf", help="hot-path benchmarks and the speedup regression guard"
@@ -686,45 +633,23 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 def _cmd_rt(args: argparse.Namespace) -> int:
     if args.rt_command == "node":
-        from repro.rt.bootstrap import RtConfig
+        from repro.errors import ConfigurationError
         from repro.rt.node import run_client_node, run_replica_node
 
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            config = RtConfig.from_json(fh.read())
+        try:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                config = RtConfig.from_json(fh.read())
+        except ConfigurationError as exc:
+            print(f"repro rt node: {args.spec}: {exc}", file=sys.stderr)
+            return 2
         if args.host:
             return run_replica_node(config, args.host)
         return run_client_node(config, args.client)
 
     # rt run
-    from repro.rt.bootstrap import RtConfig
     from repro.rt.launcher import run_deployment
 
-    config = RtConfig(
-        mode=args.mode,
-        f=args.f,
-        data_centers=args.data_centers,
-        num_clients=args.clients,
-        seed=args.seed,
-        shards=args.shards,
-        updates_per_client=args.updates,
-        update_interval=args.interval,
-        base_port=args.base_port,
-        latency=args.latency,
-        out_dir=args.out,
-        intro_batch_size=args.batch_size,
-        intro_batch_window=args.batch_window,
-        crypto_workers=args.crypto_workers,
-        checkpoint_delta_interval=args.delta_interval,
-        store_compaction_interval=args.compaction_interval,
-        store_compaction_budget=args.compaction_budget,
-        trace_wire=args.trace_wire,
-        telemetry_interval=args.telemetry_interval,
-        detectors=args.detectors,
-        load_profile=args.load_profile,
-        load_rate=args.load_rate,
-        load_aliases=args.load_aliases,
-        load_duration=args.load_duration,
-    )
+    config = config_from_args(RtConfig, args, _RT_KNOBS)
     summary = run_deployment(config, timeout=args.timeout)
     total = summary["updates_submitted"]
     done = summary["updates_completed"]
@@ -760,7 +685,6 @@ def _cmd_rt(args: argparse.Namespace) -> int:
 
 def _cmd_faultlab(args: argparse.Namespace) -> int:
     from repro.faultlab import (
-        FaultLabConfig,
         plant_leak,
         regression_test_source,
         run_schedule,
@@ -768,13 +692,7 @@ def _cmd_faultlab(args: argparse.Namespace) -> int:
         shrink,
     )
 
-    lab = FaultLabConfig(
-        mode=Mode(args.mode),
-        f=args.f,
-        key_renewal_enabled=args.key_renewal,
-        intro_batch_size=args.batch_size,
-        detectors=args.detect,
-    )
+    lab = config_from_args(FaultLabConfig, args, _FAULTLAB_KNOBS)
     if args.substrate == "live":
         return _cmd_faultlab_live(args, lab)
     if args.seed is not None:
@@ -852,7 +770,6 @@ def _cmd_faultlab_live(args: argparse.Namespace, lab) -> int:
     with the offending kinds named (see repro.rt.faultlive).
     """
     from repro.faultlab import schedule_for_seed
-    from repro.rt.bootstrap import RtConfig
     from repro.rt.faultlive import run_schedule_live, unsupported_kinds
 
     if args.schedule:
@@ -872,8 +789,8 @@ def _cmd_faultlab_live(args: argparse.Namespace, lab) -> int:
               "restricted to those kinds.")
         return 2
     config = RtConfig(
-        mode=args.mode,
-        f=args.f,
+        mode=lab.mode,
+        f=lab.f,
         num_clients=lab.num_clients,
         seed=schedule.seed,
         out_dir=args.out,
@@ -929,18 +846,7 @@ def _cmd_table1() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = SystemConfig(
-        mode=Mode(args.mode),
-        f=args.f,
-        data_centers=args.data_centers,
-        num_clients=args.clients,
-        seed=args.seed,
-        update_interval=args.interval,
-        intro_batch_size=args.batch_size,
-        intro_batch_window=args.batch_window,
-        key_renewal_enabled=args.key_renewal,
-        wan_loss_probability=args.loss,
-    )
+    config = config_from_args(SystemConfig, args, _RUN_KNOBS)
     deployment = build(config)
     deployment.start()
     deployment.start_workload(duration=args.duration)
@@ -989,14 +895,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     from repro.obs import write_bundle
 
-    config = SystemConfig(
-        mode=Mode(args.mode),
-        f=args.f,
-        data_centers=args.data_centers,
-        num_clients=args.clients,
-        seed=args.seed,
-        update_interval=args.interval,
-    )
+    config = config_from_args(SystemConfig, args, _OBS_KNOBS)
     deployment = build(config)
     deployment.start()
     deployment.start_workload(duration=args.duration)
@@ -1021,7 +920,6 @@ _STARTUP_GRACE = 30.0
 
 def _fleet_aggregator(spec_path: str):
     from repro.obs.watch import FleetAggregator
-    from repro.rt.bootstrap import RtConfig
 
     with open(spec_path, "r", encoding="utf-8") as fh:
         config = RtConfig.from_json(fh.read())
@@ -1146,7 +1044,7 @@ def _install_attack(deployment, attack: str, duration: float) -> None:
 def _cmd_compare(args: argparse.Namespace) -> int:
     results = {}
     for mode in (Mode.SPIRE, Mode.CONFIDENTIAL):
-        config = SystemConfig(mode=mode, f=args.f, seed=args.seed)
+        config = config_from_args(SystemConfig, args, _COMPARE_KNOBS, mode=mode)
         deployment = build(config)
         deployment.start()
         deployment.start_workload(duration=args.duration)

@@ -68,7 +68,7 @@ def _jittered(window: float) -> float:
 class IntroductionManager:
     """Update introduction pipeline for one executing replica."""
 
-    def __init__(self, replica: "ExecutingReplica", failover_delay: float = 0.120):
+    def __init__(self, replica: "ExecutingReplica"):
         self._replica = replica
         metrics = replica.metrics
         self._m_rsa_verify = metrics.counter("crypto.rsa.verify", op="client-update")
@@ -79,7 +79,7 @@ class IntroductionManager:
         self._m_injected = metrics.counter("intro.injected")
         self._m_failovers = metrics.counter("intro.failovers")
         self._m_batches = metrics.counter("intro.batches")
-        self.failover_delay = failover_delay
+        self.failover_delay = replica.env.config.failover_delay
         self._shares: Dict[Tuple[str, int, bytes], Dict[int, object]] = {}
         self._assembled: Dict[IntroKey, EncryptedUpdate] = {}
         self._plain_pending: Dict[IntroKey, ClientUpdate] = {}
@@ -97,10 +97,6 @@ class IntroductionManager:
         self._echoed: Set[IntroKey] = set()
         self._batch_failover_initiated: Set[IntroKey] = set()
         self._pref_cache: Dict[str, List[str]] = {}
-
-    @property
-    def batching(self) -> bool:
-        return self._replica.env.intro_batch_size > 1
 
     # -- entry: proxy-signed update arrives ------------------------------------
 
@@ -151,7 +147,7 @@ class IntroductionManager:
         encrypted = EncryptedUpdate(
             alias=alias, client_seq=update.client_seq, ciphertext=ciphertext
         )
-        if self.batching:
+        if replica.batching:
             # Batch path: the threshold partial is amortised over the whole
             # window, so only the encryption cost is charged per update.
             replica.after(replica.costs.update_encrypt, self._batch_enqueue, encrypted)
@@ -175,18 +171,19 @@ class IntroductionManager:
         rank = self.introducer_rank(encrypted.alias)
         if rank <= 1:
             self._batch_buffer.append(encrypted)
-            if len(self._batch_buffer) >= replica.env.intro_batch_size:
+            if len(self._batch_buffer) >= replica.env.config.intro_batch_size:
                 self._flush_batch()
             elif self._batch_timer is None:
                 self._batch_timer = replica.kernel.call_later(
-                    _jittered(replica.env.intro_batch_window), self._flush_batch
+                    _jittered(replica.env.config.intro_batch_window), self._flush_batch
                 )
         elif key not in self._failover_timers:
             # Non-proposers arm the same rank-staggered failover as the
             # singleton path, stretched by one batch window so a healthy
             # proposer always beats the timer.
             self._failover_timers[key] = replica.kernel.call_later(
-                (rank - 1) * self.failover_delay + replica.env.intro_batch_window,
+                (rank - 1) * self.failover_delay
+                + replica.env.config.intro_batch_window,
                 self._batch_failover,
                 key,
             )
@@ -207,11 +204,11 @@ class IntroductionManager:
             if (item.alias, item.client_seq) not in self._done
             and (item.alias, item.client_seq) not in self._injected
         ]
-        size = replica.env.intro_batch_size
+        size = replica.env.config.intro_batch_size
         items, self._batch_buffer = live[:size], live[size:]
         if self._batch_buffer:
             self._batch_timer = replica.kernel.call_later(
-                _jittered(replica.env.intro_batch_window), self._flush_batch
+                _jittered(replica.env.config.intro_batch_window), self._flush_batch
             )
         if not items:
             return
@@ -476,7 +473,7 @@ class IntroductionManager:
         key = (share.alias, share.client_seq)
         if key in self._done:
             return
-        if self.batching and src != replica.host:
+        if replica.batching and src != replica.host:
             # A singleton share means some peer is already running a
             # failover for this key; stagger rather than pile on.
             self._defer_failover(
@@ -501,7 +498,7 @@ class IntroductionManager:
             # at execution. A batch-mode failover initiator combines the
             # echoed singleton shares the same way.
             replica.after(replica.costs.threshold_combine, self._combine_and_inject, key)
-        elif not self.batching and key not in self._failover_timers:
+        elif not replica.batching and key not in self._failover_timers:
             delay = (rank - 1) * self.failover_delay
             self._failover_timers[key] = replica.kernel.call_later(
                 delay, self._failover_inject, key

@@ -35,22 +35,17 @@ RangeKey = Tuple[str, int]  # (alias, range_start)
 class KeyRenewalManager:
     """Key renewal for one executing (on-premises) replica."""
 
-    def __init__(
-        self,
-        replica: "ExecutingReplica",
-        validity: int = 1000,
-        slack: int = 10,
-        enabled: bool = False,
-    ):
+    def __init__(self, replica: "ExecutingReplica"):
         self._replica = replica
         metrics = replica.metrics
         self._m_proposals = metrics.counter("keyrenew.proposals")
         self._m_completed = metrics.counter("keyrenew.completed")
         self._m_hw_encrypt = metrics.counter("crypto.hw.encrypt")
         self._m_hw_decrypt = metrics.counter("crypto.hw.decrypt")
-        self.validity = validity
-        self.slack = slack
-        self.enabled = enabled
+        config = replica.env.config
+        self.validity = config.key_validity
+        self.slack = config.key_slack
+        self.enabled = config.key_renewal_enabled
         # Ordered, decrypted proposal seeds per pending range.
         self._pending: Dict[RangeKey, List[Tuple[str, bytes]]] = {}
         self._completed: Set[RangeKey] = set()

@@ -107,6 +107,11 @@ class ClientProxy:
         """The sequence number :meth:`submit` will assign next."""
         return self._seq + 1
 
+    @property
+    def gave_up(self) -> int:
+        """Updates abandoned after ``max_retransmits`` retransmissions."""
+        return int(self._m_gave_up.value)
+
     # -- submission ---------------------------------------------------------------
 
     def submit(self, body: bytes) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.app import Application
 from repro.core.checkpoint import CheckpointManager
@@ -52,7 +52,6 @@ from repro.core.messages import (
 )
 from repro.core.state_transfer import StateTransferManager
 from repro.core.statedelta import apply_delta, diff_state
-from repro.costs import CostModel
 from repro.crypto.keystore import HardwareKeyStore
 from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.symmetric import SymmetricKeyPair
@@ -92,6 +91,11 @@ from repro.prime.messages import (
     VcState,
 )
 
+if TYPE_CHECKING:
+    # Annotation only: repro.system imports this module while it loads.
+    from repro.system.config import SystemConfig
+
+
 def batch_digest(entries) -> str:
     """Stable short digest of an executed batch's (ordinal, payload) pairs.
 
@@ -125,19 +129,24 @@ _PRIME_TYPES = (
 )
 
 
+#: Minimum spacing between state transfers a lagging replica initiates.
+LAGGING_DEBOUNCE = 1.0
+
+
 @dataclass
 class ReplicaEnv:
     """Shared deployment context handed to every replica.
 
-    Built once by :mod:`repro.system.builder`; replicas treat it as
-    read-only configuration.
+    Built once per process by :func:`repro.rt.bootstrap.build_env` — the
+    deployment's one :class:`~repro.system.config.SystemConfig` by
+    reference, the roles and public keys derived from it, and the
+    substrate handles; replicas treat it as read-only.
     """
 
+    config: SystemConfig
     kernel: Scheduler
     network: Transport
-    costs: CostModel
     prime_config: PrimeConfig
-    confidential: bool
     all_replicas: Tuple[str, ...]
     on_premises: Tuple[str, ...]
     executing: Tuple[str, ...]
@@ -147,25 +156,6 @@ class ReplicaEnv:
     alias_to_client: Dict[str, str]
     proxy_of_client: Dict[str, str]
     initial_client_keys: Dict[str, SymmetricKeyPair]
-    checkpoint_interval: int = 100
-    # CompactLab: full snapshot every N checkpoints with state deltas
-    # between (0/1 = every checkpoint full, the legacy behaviour).
-    checkpoint_delta_interval: int = 0
-    # CompactLab: background log-compaction tick. 0 disables (the sim's
-    # default — trace byte-identity); > 0 schedules a bounded compaction
-    # of up to store_compaction_budget sealed segments per tick.
-    store_compaction_interval: float = 0.0
-    store_compaction_budget: int = 2
-    key_validity: int = 1000
-    key_slack: int = 10
-    key_renewal_enabled: bool = False
-    failover_delay: float = 0.120
-    lagging_debounce: float = 1.0
-    # Flow control for state-transfer responses: when set, responses are
-    # split into parts of at most this many bytes, paced xfer_chunk_interval
-    # apart (None reproduces the paper prototype's single-burst behaviour).
-    xfer_chunk_bytes: Optional[int] = 65536
-    xfer_chunk_interval: float = 0.004
     tracer: Optional[object] = None
     auditor: Optional[Auditor] = None
     rng: Optional[object] = None
@@ -176,11 +166,6 @@ class ReplicaEnv:
     # Shared signature-verification memo (repro.crypto.verifycache). None
     # verifies directly; simulated crypto costs are charged either way.
     verify_cache: Optional[object] = None
-    # BatchLab: introduction batching window. 1 = the singleton path,
-    # byte-identical to pre-batching traces; > 1 aggregates up to this
-    # many updates under one threshold signature per window.
-    intro_batch_size: int = 1
-    intro_batch_window: float = 0.02
     # Optional repro.crypto.pool.CryptoPool: threshold sign/combine are
     # evaluated in worker processes when set (live runtime), in-process
     # when None (the sim default; results are bit-identical either way).
@@ -241,8 +226,8 @@ class ReplicaBase:
         self.host = host
         self.keystore = keystore
         self.kernel = env.kernel
-        self.costs = env.costs
-        self.confidential = env.confidential
+        self.costs = env.config.costs
+        self.confidential = env.config.confidential
         self.metrics = env.metrics if env.metrics is not None else NULL_METRICS
         self.online = False
         self.incarnation = 0
@@ -254,7 +239,7 @@ class ReplicaBase:
         )
         self.update_log: Dict[int, BatchRecord] = {}
         self.checkpoints = CheckpointManager(
-            self, env.checkpoint_interval, env.checkpoint_delta_interval
+            self, env.config.checkpoint_interval, env.config.checkpoint_delta_interval
         )
         self.xfer = StateTransferManager(self)
         self.engine = self._make_engine()
@@ -319,13 +304,13 @@ class ReplicaBase:
         existing sim traces stay byte-identical; the tick itself is pure
         disk work with zero simulated cost, so enabling it never perturbs
         protocol timing either."""
-        interval = self.env.store_compaction_interval
+        interval = self.env.config.store_compaction_interval
         if interval > 0 and not self._compaction_scheduled:
             self._compaction_scheduled = True
             self.kernel.call_later(interval, self._compaction_tick)
 
     def _compaction_tick(self) -> None:
-        interval = self.env.store_compaction_interval
+        interval = self.env.config.store_compaction_interval
         if interval <= 0:
             self._compaction_scheduled = False
             return
@@ -333,7 +318,7 @@ class ReplicaBase:
             # Offline = the modeled process is dead; its disk does not
             # compact itself. The timer keeps ticking so compaction
             # resumes with recovery.
-            self.store.compact(self.env.store_compaction_budget)
+            self.store.compact(self.env.config.store_compaction_budget)
         self.kernel.call_later(interval, self._compaction_tick)
 
     # -- networking ---------------------------------------------------------------------
@@ -526,7 +511,7 @@ class ReplicaBase:
 
     def _on_lagging(self, target_seq: int) -> None:
         now = self.kernel.now
-        if now - self._last_lagging_xfer < self.env.lagging_debounce:
+        if now - self._last_lagging_xfer < LAGGING_DEBOUNCE:
             return
         if self.xfer.in_progress:
             return
@@ -657,8 +642,9 @@ class ReplicaBase:
         self.keystore.wipe()
         self.incarnation += 1
         self.update_log = {}
+        config = self.env.config
         self.checkpoints = CheckpointManager(
-            self, self.env.checkpoint_interval, self.env.checkpoint_delta_interval
+            self, config.checkpoint_interval, config.checkpoint_delta_interval
         )
         self.xfer = StateTransferManager(self)
         self.reset_role_state()
@@ -834,14 +820,9 @@ class ExecutingReplica(ReplicaBase):
         self.intro_share = intro_share
         self.response_share = response_share
         super().__init__(env, host, keystore)
-        self.intro = IntroductionManager(self, failover_delay=env.failover_delay)
+        self.intro = IntroductionManager(self)
         self.key_manager = KeyManager()
-        self.renewal = KeyRenewalManager(
-            self,
-            validity=env.key_validity,
-            slack=env.key_slack,
-            enabled=env.key_renewal_enabled,
-        )
+        self.renewal = KeyRenewalManager(self)
         self._executed: Dict[str, ClientProgress] = {}
         # Recent threshold-signed responses, kept per client for a window
         # of sequence numbers: the proxy pipelines updates, so the reply
@@ -881,9 +862,8 @@ class ExecutingReplica(ReplicaBase):
     def _install_initial_keys(self) -> None:
         if not self.confidential:
             return
-        validity = (
-            self.env.key_validity if self.env.key_renewal_enabled else 10 ** 12
-        )
+        config = self.env.config
+        validity = config.key_validity if config.key_renewal_enabled else 10 ** 12
         for alias, keys in self.env.initial_client_keys.items():
             self.key_manager.register_client(alias, keys, validity)
 
@@ -904,7 +884,7 @@ class ExecutingReplica(ReplicaBase):
 
     @property
     def batching(self) -> bool:
-        return self.env.intro_batch_size > 1
+        return self.env.config.intro_batch_size > 1
 
     def executed_seq(self, alias: str) -> int:
         """Highest client sequence seen executed (renewal trigger input)."""
@@ -1401,14 +1381,9 @@ class ExecutingReplica(ReplicaBase):
 
     def reset_role_state(self) -> None:
         self.app = self._app_factory()
-        self.intro = IntroductionManager(self, failover_delay=self.env.failover_delay)
+        self.intro = IntroductionManager(self)
         self.key_manager = KeyManager()
-        self.renewal = KeyRenewalManager(
-            self,
-            validity=self.env.key_validity,
-            slack=self.env.key_slack,
-            enabled=self.env.key_renewal_enabled,
-        )
+        self.renewal = KeyRenewalManager(self)
         self._executed = {}
         self._response_cache = {}
         self._response_shares = {}

@@ -143,9 +143,8 @@ class StateTransferManager:
         if rank <= 1:
             self._inject_request(key)
         else:
-            replica.kernel.call_later(
-                (rank - 1) * replica.env.failover_delay, self._inject_failover, key
-            )
+            delay = (rank - 1) * replica.env.config.failover_delay
+            replica.kernel.call_later(delay, self._inject_failover, key)
 
     def _inject_failover(self, key: Tuple[str, int]) -> None:
         if key in self._served or not self._replica.online:
@@ -193,7 +192,7 @@ class StateTransferManager:
         batches = replica.update_log_after(after_seq)
         self._m_served.inc()
         self._m_bytes_served.inc(sum(record.wire_size() for record in batches))
-        chunk_bytes = replica.env.xfer_chunk_bytes
+        chunk_bytes = replica.env.config.xfer_chunk_bytes
         if not chunk_bytes:
             response = StateXferResponse(
                 requester=request.requester,
@@ -238,7 +237,7 @@ class StateTransferManager:
                 part_count=part_count,
                 deltas=tuple(deltas) if index == 0 else (),
             )
-            delay = index * replica.env.xfer_chunk_interval
+            delay = index * replica.env.config.xfer_chunk_interval
             if delay > 0:
                 replica.kernel.call_later(
                     delay, replica.network_send, request.requester, part

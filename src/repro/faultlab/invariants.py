@@ -301,14 +301,14 @@ class BoundedDisclosureInvariant(Invariant):
             self._first_exec.setdefault(key, event.time)
 
     def finish(self, ctx: CheckContext) -> None:
-        env = getattr(ctx.deployment, "env", None)
-        if env is None or not getattr(env, "key_renewal_enabled", False):
+        config = ctx.deployment.env.config
+        if not config.key_renewal_enabled:
             self.skip("key renewal disabled; disclosure is unbounded by design")
             return
         if not self._leak_times or ctx.adversary is None:
             self.skip("no key-leaking compromise in this schedule")
             return
-        bound = env.key_validity + env.key_slack
+        bound = config.key_validity + config.key_slack
         for host, leaked_at in sorted(self._leak_times.items()):
             bag = ctx.adversary.loot.get(host)
             if bag is None:

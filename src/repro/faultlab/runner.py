@@ -30,7 +30,7 @@ from repro.faultlab.schedule import (
 )
 from repro.system.adversary import Adversary, Behavior
 from repro.system.builder import build
-from repro.system.config import Mode, SystemConfig
+from repro.system.config import Mode, SystemConfig, flag, project
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,14 @@ class FaultLabConfig:
     """Sizing for FaultLab runs: small enough to sweep, big enough to
     exercise checkpoints, recovery, and state transfer."""
 
-    mode: Mode = Mode.CONFIDENTIAL
-    f: int = 1
+    mode: Mode = field(default=Mode.CONFIDENTIAL, metadata=flag("--mode"))
+    f: int = field(default=1, metadata=flag("--f"))
     data_centers: int = 2
     num_clients: int = 3
     update_interval: float = 0.35
     checkpoint_interval: int = 25
-    key_renewal_enabled: bool = False
+    key_renewal_enabled: bool = field(default=False, metadata=flag(
+        "--key-renewal", "enable key renewal (checks bounded disclosure)"))
 
     #: Faults start after the system has warmed up...
     fault_start: float = 1.5
@@ -66,13 +67,16 @@ class FaultLabConfig:
     #: BatchLab: introduction batch size. 1 sweeps the singleton path
     #: (the trace-identity baseline); > 1 sweeps the batched intro and
     #: response pipelines under the same fault schedules.
-    intro_batch_size: int = 1
+    intro_batch_size: int = field(default=1, metadata=flag(
+        "--batch-size", "intro batch size to sweep under (1 = singleton path)"))
 
     #: WatchLab: attach the online anomaly-detector suite to the run and
     #: score every injected fault against the health events it raises
     #: (fault→detection latency lands in ``faultlab.detection_latency``).
     #: Off by default: the bare sweep is the trace-identity baseline.
-    detectors: bool = False
+    detectors: bool = field(default=False, metadata=flag(
+        "--detect", "run the online anomaly detectors and score "
+                    "fault -> detection coverage per seed"))
 
     #: CompactLab: delta-checkpoint chain length and background-compaction
     #: tick. Both off by default (the trace-identity baseline); the
@@ -82,20 +86,7 @@ class FaultLabConfig:
     store_compaction_interval: float = 0.0
 
     def system_config(self, seed: int) -> SystemConfig:
-        return SystemConfig(
-            mode=self.mode,
-            f=self.f,
-            data_centers=self.data_centers,
-            seed=seed,
-            num_clients=self.num_clients,
-            update_interval=self.update_interval,
-            checkpoint_interval=self.checkpoint_interval,
-            key_renewal_enabled=self.key_renewal_enabled,
-            intro_batch_size=self.intro_batch_size,
-            checkpoint_delta_interval=self.checkpoint_delta_interval,
-            store_compaction_interval=self.store_compaction_interval,
-            tracing=True,
-        )
+        return project(self, SystemConfig, seed=seed)
 
 
 @dataclass
@@ -196,9 +187,7 @@ def run_schedule(
     tempdir: Optional[str] = None
     if needs_store and config.store_dir is None:
         tempdir = tempfile.mkdtemp(prefix="faultlab-store-")
-        config = dataclasses.replace(
-            config, store_dir=tempdir, store_fsync=lab.store_fsync
-        )
+        config = dataclasses.replace(config, store_dir=tempdir)
 
     deployment = build(config)
     adversary = Adversary(deployment)

@@ -47,7 +47,7 @@ from repro.faultlab.schedule import (
 )
 from repro.shard.builder import ShardedDeployment, build_sharded
 from repro.system.adversary import Adversary
-from repro.system.config import Mode, SystemConfig
+from repro.system.config import Mode, SystemConfig, project
 
 
 @dataclass(frozen=True)
@@ -81,17 +81,7 @@ class ShardFaultLabConfig:
     max_events: int = 3
 
     def system_config(self, seed: int) -> SystemConfig:
-        return SystemConfig(
-            mode=self.mode,
-            f=self.f,
-            data_centers=self.data_centers,
-            seed=seed,
-            num_clients=self.num_clients,
-            update_interval=self.update_interval,
-            checkpoint_interval=self.checkpoint_interval,
-            shards=self.shards,
-            tracing=True,
-        )
+        return project(self, SystemConfig, seed=seed)
 
 
 class ShardInvariantChecker(InvariantChecker):

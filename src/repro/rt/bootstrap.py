@@ -10,9 +10,13 @@ process *re-derives* the identical material from the run's master seed —
 process drawing the same named streams in the same order reconstructs
 byte-identical keys, shares, and keystores.
 
-:func:`generate_material` is that dealer, extracted verbatim from
-``repro.system.builder.build`` (which now calls it), preserving the exact
-RNG draw order so existing simulation traces stay byte-identical.
+:func:`generate_material` is that dealer; its RNG draw order is what
+keeps existing simulation traces byte-identical. Beside it,
+:func:`build_env` / :func:`build_replica` / :func:`build_proxy` are the one
+assembly of the protocol objects: ``repro.system.builder.build`` loops them
+over every host and client of a simulated world, a live node calls them
+for the one host or client it is, and only the substrate handles passed in
+(scheduler, transport, tracer, auditor, RNG registry, metrics) differ.
 
 :class:`RtConfig` is the JSON-serialisable description of one live
 deployment: the launcher writes it to a spec file, every spawned node
@@ -23,21 +27,27 @@ reads it back, and both sides derive the same
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.app import Application, KeyValueApplication
 from repro.core.distribution import DistributionPlan, plan_confidential, plan_spire
+from repro.core.intro import seed_batch_jitter
 from repro.core.messages import client_alias
+from repro.core.proxy import ClientProxy
+from repro.core.replica import ExecutingReplica, ReplicaBase, ReplicaEnv, StorageReplica
 from repro.errors import ConfigurationError
 from repro.costs import FREE
 from repro.crypto.keystore import HardwareKeyStore
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_keypair
 from repro.crypto.symmetric import SymmetricKeyPair, derive_keypair
 from repro.crypto.threshold import ThresholdKeyGroup, generate_threshold_key
+from repro.crypto.verifycache import VerifyCache
 from repro.net.topology import CLIENT_SITE, Topology, east_coast_topology
 from repro.prime.config import PrimeConfig
 from repro.sim.rng import RngRegistry
-from repro.system.config import Mode, SystemConfig
+from repro.system.config import C, ProtocolConfig, SystemConfig, flag, project
 
 
 @dataclass
@@ -262,31 +272,153 @@ def _place_replicas(
     return tuple(on_prem_hosts), tuple(dc_hosts)
 
 
+# -- assembly: the same protocol objects on either substrate ---------------------
+
+
+def build_verify_cache(config: SystemConfig, metrics) -> Optional[VerifyCache]:
+    """The signature-verification memo (see repro.crypto.verifycache), or
+    None when the config turns it off."""
+    if not config.verify_cache_enabled:
+        return None
+    return VerifyCache(
+        hit_counter=metrics.counter("crypto.verify_cache_hit"),
+        miss_counter=metrics.counter("crypto.verify_cache_miss"),
+    )
+
+
+def build_env(
+    material: SystemMaterial,
+    config: SystemConfig,
+    *,
+    metrics,
+    store_path: Optional[Callable[[str], Path]] = None,
+    **substrate,
+) -> ReplicaEnv:
+    """The :class:`ReplicaEnv` every replica of this process shares.
+
+    ``substrate`` carries the env's own handles: kernel, network, tracer,
+    auditor, rng. ``store_path`` maps a host to its FileStore directory
+    (None keeps the volatile MemoryStore). Also creates what lives as long
+    as the env: the crypto worker pool (``config.crypto_workers`` > 0; the
+    caller shuts ``env.crypto_pool`` down) and the seeded batch jitter.
+    """
+    store_factory = None
+    if store_path is not None:
+        from repro.store.filestore import FileStore
+
+        def store_factory(host: str):
+            return FileStore(
+                store_path(host),
+                fsync=config.store_fsync,
+                segment_bytes=config.store_segment_bytes,
+                metrics=metrics,
+                host=host,
+            )
+
+    crypto_pool = None
+    if config.crypto_workers > 0:
+        from repro.crypto.pool import CryptoPool
+
+        crypto_pool = CryptoPool(workers=config.crypto_workers)
+    if config.intro_batch_size > 1:
+        # Seed the proposer window jitter from the deployment seed so
+        # batched runs are reproducible. Singleton runs never draw from
+        # this stream, preserving byte-identity at batch size 1.
+        seed_batch_jitter(config.seed)
+
+    intro_group = material.intro_group
+    return ReplicaEnv(
+        config=config,
+        prime_config=material.prime_config,
+        all_replicas=material.all_hosts,
+        on_premises=material.on_premises_hosts,
+        executing=material.executing_hosts,
+        intro_public=intro_group.public if intro_group else None,
+        response_public=material.response_group.public,
+        client_registry=material.client_registry,
+        alias_to_client=material.alias_to_client,
+        proxy_of_client=material.proxy_of_client,
+        initial_client_keys=material.initial_client_keys,
+        metrics=metrics,
+        store_factory=store_factory,
+        verify_cache=build_verify_cache(config, metrics),
+        crypto_pool=crypto_pool,
+        **substrate,
+    )
+
+
+def build_replica(
+    env: ReplicaEnv,
+    material: SystemMaterial,
+    host: str,
+    app_factory: Callable[[], Application] = KeyValueApplication,
+) -> ReplicaBase:
+    """``host``'s replica in its role, holding its key shares."""
+    if host not in material.executing_hosts:
+        return StorageReplica(env, host, material.keystores[host])
+    share = material.executing_hosts.index(host) + 1
+    intro_group = material.intro_group
+    return ExecutingReplica(
+        env=env,
+        host=host,
+        keystore=material.keystores[host],
+        app_factory=app_factory,
+        intro_share=intro_group.shares[share] if intro_group else None,
+        response_share=material.response_group.shares[share],
+    )
+
+
+def build_proxy(
+    material: SystemMaterial, config: SystemConfig, client_id: str, **substrate
+) -> ClientProxy:
+    """``client_id``'s proxy on its assigned host. ``substrate`` carries
+    :class:`ClientProxy`'s own keywords: kernel, network, tracer, metrics,
+    verify_cache and (live) retransmit_timeout."""
+    return ClientProxy(
+        host=material.proxy_of_client[client_id],
+        client_id=client_id,
+        signing_key=material.client_keys[client_id],
+        response_public=material.response_group.public,
+        on_premises_replicas=list(material.on_premises_hosts),
+        costs=config.costs,
+        **substrate,
+    )
+
+
 # -- live deployment spec ---------------------------------------------------------
 
 
-@dataclass
-class RtConfig:
+#: ``""`` keeps the closed-loop driver; the rest are
+#: :data:`repro.load.arrivals.PROFILES` (not imported: that package
+#: imports this module).
+LOAD_PROFILES = ("", "poisson", "bursty", "diurnal", "storm")
+
+
+@dataclass(frozen=True)
+class RtConfig(ProtocolConfig):
     """One live deployment, JSON round-trippable for the spec file.
 
-    Protocol timing defaults are scaled up from the simulation's: the sim
-    charges modelled CPU costs on a virtual clock, while live processes
-    pay real scheduling, real crypto, and real TCP under a shared machine,
-    so the sim's 100 ms view-change timeout would misfire constantly.
+    The protocol knobs are :class:`~repro.system.config.ProtocolConfig`'s;
+    this class adds where and how the fleet runs (ports, artifacts, the
+    client drivers, telemetry) and re-declares only the five defaults
+    that are deliberately scaled for real processes.
     """
 
-    mode: str = "confidential"
-    f: int = 1
-    data_centers: int = 2
-    num_clients: int = 5
-    seed: int = 1
+    # Fewer, faster clients than the paper's ten at 1 update/s: each
+    # client is an OS process, and a closed-loop run should finish in
+    # seconds of wall time, not minutes.
+    num_clients: int = field(default=5, metadata=flag("--clients"))
+    update_interval: float = field(default=0.02, metadata=flag(
+        "--interval", "pacing delay between a client's updates"))
+    # Live-scaled protocol timing: the sim charges modelled CPU costs on
+    # a virtual clock, while live processes pay real scheduling, real
+    # crypto, and real TCP under a shared machine, so the sim's 100 ms
+    # view-change timeout would misfire constantly.
+    pp_interval: float = 0.05
+    vc_timeout: float = 3.0
+    failover_delay: float = 0.5
+    retransmit_timeout: float = 2.0
 
-    #: ShardLab: number of independent replica groups. Each shard is a
-    #: full Prime deployment (own threshold groups, own stores, own
-    #: key-renewal schedule) with namespaced hostnames (``s0.`` ...);
-    #: clients are routed to their home shard by the deterministic
-    #: :class:`~repro.shard.shardmap.ShardMap`.
-    shards: int = 1
     #: Port-space stride between shards: shard N's ports start at
     #: ``base_port + N * shard_port_stride``. Must exceed twice the
     #: number of hosts + proxies of any one shard.
@@ -294,53 +426,30 @@ class RtConfig:
 
     #: Updates each client submits (closed loop: next begins when the
     #: previous completes or the pacing interval elapses).
-    updates_per_client: int = 100
-    update_interval: float = 0.02
-
-    # Live-scaled protocol timing.
-    pp_interval: float = 0.05
-    vc_timeout: float = 3.0
-    failover_delay: float = 0.5
-    retransmit_timeout: float = 2.0
-    checkpoint_interval: int = 100
+    updates_per_client: int = field(default=100, metadata=flag(
+        "--updates", "updates per client (closed loop)"))
 
     # Below the Linux ephemeral range (32768+): a peer's outbound
     # connection must never steal a listener's port.
-    base_port: int = 17000
+    base_port: int = field(default=17000, metadata=flag("--base-port"))
     bind_host: str = "127.0.0.1"
     #: Inject the emulated topology's site latencies at the transport
     #: layer. Off for pure-throughput benchmarking.
-    latency: bool = True
+    latency: bool = field(default=True, metadata=flag(
+        "--no-latency", "disable emulated site latencies"))
     #: Shared wall-clock epoch (the launcher's launch instant); every
     #: node's ``now`` is seconds since this, so merged timelines align.
     epoch: float = 0.0
     #: Directory for per-node artifacts and the merged bundle.
-    out_dir: str = "rt-out"
+    out_dir: str = field(default="rt-out", metadata=flag(
+        "--out", "artifacts: spec, logs, per-node slices, merged bundle",
+        metavar="DIR"))
 
     # Durable storage (repro.store): each replica process keeps a
     # FileStore under <out_dir>/nodes/<host>/store, so a SIGKILLed node
     # recovers its own prefix from disk and only the missing suffix
     # crosses the network on respawn.
-    durable_store: bool = True
-    store_fsync: str = "batch"
-    store_segment_bytes: int = 1 << 20
-
-    # CompactLab: delta checkpoints + background log compaction. With
-    # ``checkpoint_delta_interval`` = N > 1, only every N-th checkpoint is
-    # a full snapshot (deltas between); ``store_compaction_interval`` > 0
-    # arms a wall-clock compaction tick on each node's scheduler that
-    # rewrites up to ``store_compaction_budget`` sealed segments per tick.
-    checkpoint_delta_interval: int = 0
-    store_compaction_interval: float = 0.0
-    store_compaction_budget: int = 2
-
-    # BatchLab: introduction batching and the crypto worker pool. Batch
-    # size 1 keeps the singleton path; crypto_workers > 0 gives each
-    # replica process a pool of that many worker processes for threshold
-    # sign/combine.
-    intro_batch_size: int = 1
-    intro_batch_window: float = 0.02
-    crypto_workers: int = 0
+    durable_store: bool = field(default=True, metadata=flag("--no-durable-store"))
 
     # WatchLab: live telemetry + anomaly detection. ``trace_wire`` stamps
     # every outbound frame with a v2 trace-context extension (trace id +
@@ -348,9 +457,13 @@ class RtConfig:
     # (snapshot, span drain, detector poll); ``detectors`` arms the
     # online anomaly detectors. All default on — frames stay v1 and the
     # watch loop idle only when explicitly disabled.
-    trace_wire: bool = True
-    telemetry_interval: float = 1.0
-    detectors: bool = True
+    trace_wire: bool = field(default=True, metadata=flag(
+        "--no-trace-wire", "disable wire-level trace context propagation"))
+    telemetry_interval: float = field(default=1.0, metadata=flag(
+        "--telemetry-interval", "seconds between telemetry snapshots "
+                                "(0 = disable the watch loop)"))
+    detectors: bool = field(default=True, metadata=flag(
+        "--no-detectors", "disable online anomaly detectors"))
 
     # LoadLab: open-loop client driving (:mod:`repro.load.arrivals`). An
     # empty ``load_profile`` keeps the classic closed loop above. With a
@@ -360,15 +473,35 @@ class RtConfig:
     # client aliases multiplexed over its one real proxy, and arrivals
     # that find the proxy's in-flight window full are dropped and counted
     # — never silently deferred.
-    load_profile: str = ""
-    load_rate: float = 20.0
-    load_aliases: int = 200
-    load_duration: float = 10.0
+    load_profile: str = field(default="", metadata=flag(
+        "--load-profile", "open-loop arrival profile for the client "
+                          "drivers (default: closed loop)",
+        choices=LOAD_PROFILES))
+    load_rate: float = field(default=20.0, metadata=flag(
+        "--load-rate", "aggregate offered arrivals/s across clients"))
+    load_aliases: int = field(default=200, metadata=flag(
+        "--load-aliases", "distinct client aliases fleet-wide"))
+    load_duration: float = field(default=10.0, metadata=flag(
+        "--load-duration", "open-loop generation window in seconds"))
     load_max_inflight: int = 4
     load_deadline: float = 4.0
     load_keyspace: int = 4
     load_value_bytes: int = 32
     load_profile_params: Dict[str, float] = field(default_factory=dict)
+
+    _MINIMUM = ProtocolConfig._MINIMUM + (
+        ("telemetry_interval", 0), ("load_duration", 0), ("load_max_inflight", 1),
+    )
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.load_profile not in LOAD_PROFILES:
+            raise ConfigurationError(
+                f"load_profile must be one of {LOAD_PROFILES}, "
+                f"got {self.load_profile!r}"
+            )
+        if self.load_rate <= 0:
+            raise ConfigurationError("load_rate must be positive")
 
     def system_config(self) -> SystemConfig:
         """The :class:`SystemConfig` every node derives material from.
@@ -376,35 +509,26 @@ class RtConfig:
         Costs are :data:`~repro.costs.FREE`: live crypto does real work on
         a real CPU, so charging modelled costs on top would double-count.
         """
-        return SystemConfig(
-            mode=Mode(self.mode),
-            f=self.f,
-            data_centers=self.data_centers,
-            num_clients=self.num_clients,
-            seed=self.seed,
-            shards=self.shards,
-            update_interval=self.update_interval,
-            checkpoint_interval=self.checkpoint_interval,
-            checkpoint_delta_interval=self.checkpoint_delta_interval,
-            store_compaction_interval=self.store_compaction_interval,
-            store_compaction_budget=self.store_compaction_budget,
-            pp_interval=self.pp_interval,
-            vc_timeout=self.vc_timeout,
-            failover_delay=self.failover_delay,
-            intro_batch_size=self.intro_batch_size,
-            intro_batch_window=self.intro_batch_window,
-            crypto_workers=self.crypto_workers,
-            costs=FREE,
-            tracing=True,
-            metrics_enabled=True,
-        )
+        return project(self, SystemConfig, costs=FREE)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(
+            {**asdict(self), "mode": self.mode.value}, indent=2, sort_keys=True
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "RtConfig":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ConfigurationError(f"spec is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigurationError("spec must be a JSON object of RtConfig fields")
+        names = {f.name for f in fields(cls)}
+        problems = [f"unknown key {key!r}" for key in sorted(set(data) - names)]
+        problems += [f"missing key {key!r}" for key in sorted(names - set(data))]
+        if problems:
+            raise ConfigurationError("spec: " + ", ".join(problems))
         return cls(**data)
 
 
@@ -413,7 +537,6 @@ class ShardSlice:
     """One shard's share of a live fleet: local clients, material, ports."""
 
     shard_id: int
-    namespace: str
     client_ids: List[str]
     config: SystemConfig
     material: SystemMaterial
@@ -421,6 +544,42 @@ class ShardSlice:
 
     def ports(self) -> Dict[str, Tuple[int, int]]:
         return host_ports(self.material, self.base_port)
+
+
+def shard_configs(config: C) -> List[Tuple[str, List[str], C]]:
+    """Per replica group: (hostname namespace, local client ids, its
+    single-group config).
+
+    One shard is the classic deployment, unchanged. S > 1 gives shard N
+    the clients the seeded :class:`~repro.shard.shardmap.ShardMap` assigns
+    it, the ``sN.`` namespace, and its own seed.
+    """
+    client_ids = [f"client-{i:02d}" for i in range(config.num_clients)]
+    if config.shards == 1:
+        return [("", client_ids, config)]
+    from repro.shard.shardmap import ShardMap, shard_seed
+
+    assignment = ShardMap(seed=config.seed, shards=config.shards).assign(client_ids)
+    empty = sorted(s for s, ids in assignment.items() if not ids)
+    if empty:
+        raise ConfigurationError(
+            f"shard map (seed={config.seed}, shards={config.shards}) leaves "
+            f"shards {empty} without clients; use more clients, fewer "
+            "shards, or another seed"
+        )
+    return [
+        (
+            f"s{shard_id}.",
+            local_ids,
+            replace(
+                config,
+                shards=1,
+                num_clients=len(local_ids),
+                seed=shard_seed(config.seed, shard_id),
+            ),
+        )
+        for shard_id, local_ids in sorted(assignment.items())
+    ]
 
 
 def generate_fleet(config: "RtConfig") -> List[ShardSlice]:
@@ -431,50 +590,18 @@ def generate_fleet(config: "RtConfig") -> List[ShardSlice]:
     is exactly the classic single-group derivation (no namespace, ports
     at ``base_port``).
     """
-    if config.shards == 1:
-        system_config = config.system_config()
-        material = generate_material(system_config, RngRegistry(config.seed))
-        return [
-            ShardSlice(
-                shard_id=0,
-                namespace="",
-                client_ids=list(material.client_ids),
-                config=system_config,
-                material=material,
-                base_port=config.base_port,
-            )
-        ]
-    from dataclasses import replace as _replace
-
-    from repro.shard.shardmap import ShardMap, shard_seed
-
-    client_ids = [f"client-{i:02d}" for i in range(config.num_clients)]
-    shard_map = ShardMap(seed=config.seed, shards=config.shards)
-    assignment = shard_map.assign(client_ids)
-    empty = sorted(s for s, ids in assignment.items() if not ids)
-    if empty:
-        raise ConfigurationError(
-            f"shard map (seed={config.seed}, shards={config.shards}) leaves "
-            f"shards {empty} without clients"
-        )
     slices: List[ShardSlice] = []
-    for shard_id in range(config.shards):
-        local_ids = assignment[shard_id]
-        shard_config = _replace(
-            config.system_config(),
-            shards=1,
-            num_clients=len(local_ids),
-            seed=shard_seed(config.seed, shard_id),
-        )
+    for shard_id, (namespace, local_ids, shard_config) in enumerate(
+        shard_configs(config.system_config())
+    ):
         material = generate_material(
             shard_config,
             RngRegistry(shard_config.seed),
-            namespace=f"s{shard_id}.",
+            namespace=namespace,
             client_ids=local_ids,
         )
-        base = config.base_port + shard_id * config.shard_port_stride
         hosts_needed = 2 * (len(material.all_hosts) + len(material.proxy_of_client))
-        if hosts_needed > config.shard_port_stride:
+        if config.shards > 1 and hosts_needed > config.shard_port_stride:
             raise ConfigurationError(
                 f"shard {shard_id} needs {hosts_needed} ports but "
                 f"shard_port_stride is {config.shard_port_stride}"
@@ -482,11 +609,10 @@ def generate_fleet(config: "RtConfig") -> List[ShardSlice]:
         slices.append(
             ShardSlice(
                 shard_id=shard_id,
-                namespace=f"s{shard_id}.",
                 client_ids=local_ids,
                 config=shard_config,
                 material=material,
-                base_port=base,
+                base_port=config.base_port + shard_id * config.shard_port_stride,
             )
         )
     return slices

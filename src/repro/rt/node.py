@@ -27,17 +27,21 @@ import signal
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.app import KeyValueApplication
 from repro.core.confidentiality import Auditor
 from repro.core.proxy import ClientProxy
-from repro.core.replica import ExecutingReplica, ReplicaBase, ReplicaEnv, StorageReplica
-from repro.crypto.verifycache import VerifyCache
+from repro.core.replica import ReplicaEnv
+from repro.errors import ConfigurationError
 from repro.obs.export import metrics_jsonl_rows, prometheus_text, tracer_jsonl_rows, write_jsonl
 from repro.obs.registry import MetricsRegistry
 from repro.obs.watch import NodeWatch
 from repro.rt.bootstrap import (
     RtConfig,
+    ShardSlice,
     SystemMaterial,
+    build_env,
+    build_proxy,
+    build_replica,
+    build_verify_cache,
     data_ports,
     generate_fleet,
     slice_for_client,
@@ -53,25 +57,26 @@ from repro.sim.trace import Tracer
 class NodeContext:
     """The live substrate plus the node's slice of the system."""
 
-    def __init__(self, config: RtConfig, host: str, role: str):
+    def __init__(self, config: RtConfig, host: str, role: str,
+                 shard: Optional[ShardSlice] = None):
         self.config = config
         self.host = host
         self.role = role
         # Shard-aware: every node derives the whole fleet, then keeps only
         # its own shard's slice (material, ports, system config). With
         # shards == 1 the slice IS the classic single-group derivation.
-        fleet = generate_fleet(config)
-        try:
-            self.shard = slice_for_host(fleet, host)
-        except Exception:
-            raise SystemExit(f"unknown host {host!r} for this deployment")
+        # A caller that already derived the fleet passes its slice in.
+        if shard is None:
+            try:
+                shard = slice_for_host(generate_fleet(config), host)
+            except ConfigurationError as exc:
+                raise SystemExit(str(exc))
+        self.shard = shard
         self.shard_id = self.shard.shard_id
         self.system_config = self.shard.config
         self.rng = RngRegistry(self.system_config.seed)
         self.material: SystemMaterial = self.shard.material
         self.ports = self.shard.ports()
-        if host not in self.ports:
-            raise SystemExit(f"unknown host {host!r} for this deployment")
         self.data_port, self.control_port = self.ports[host]
         self.loop = asyncio.get_event_loop()
         self.scheduler = LiveScheduler(self.loop, epoch=config.epoch)
@@ -111,24 +116,28 @@ class NodeContext:
         self._watch_task: Optional[asyncio.Task] = None
         self.auditor = Auditor(tracer=self.tracer)
         self.transport.inspector = self.auditor.inspect_delivery
-        # Per-process signature-verification memo (retransmits and
-        # duplicate responses hit it; see repro.crypto.verifycache).
-        self.verify_cache = VerifyCache(
-            hit_counter=self.metrics.counter("crypto.verify_cache_hit"),
-            miss_counter=self.metrics.counter("crypto.verify_cache_miss"),
-        )
-        # Crypto worker pool (BatchLab): replica processes offload
-        # threshold sign/combine to worker processes; clients never need
-        # one. Shut down with the node in :meth:`stop`.
-        self.crypto_pool = None
-        if role == "replica" and config.crypto_workers > 0:
-            from repro.crypto.pool import CryptoPool
-
-            self.crypto_pool = CryptoPool(workers=config.crypto_workers)
-        if config.intro_batch_size > 1:
-            from repro.core.intro import seed_batch_jitter
-
-            seed_batch_jitter(config.seed)
+        # A replica process builds its env from the shared assembly, and
+        # with it the crypto worker pool (BatchLab: threshold sign/combine
+        # offloaded to worker processes; shut down in :meth:`stop`) and its
+        # durable store under ``nodes/<host>/store``. Clients need neither.
+        self.env: Optional[ReplicaEnv] = None
+        if role == "replica":
+            self.env = build_env(
+                self.material,
+                self.system_config,
+                metrics=self.metrics,
+                store_path=(
+                    (lambda host: Path(config.out_dir) / "nodes" / host / "store")
+                    if config.durable_store
+                    else None
+                ),
+                kernel=self.scheduler,
+                network=self.transport,
+                tracer=self.tracer,
+                auditor=self.auditor,
+                rng=self.rng,
+            )
+        self.crypto_pool = self.env.crypto_pool if self.env else None
         self.control = ControlServer(self.control_port, bind_host=config.bind_host)
         self.shutdown_requested = asyncio.Event()
         self._install_routes()
@@ -274,83 +283,12 @@ class NodeContext:
         tmp.replace(out / "metrics_raw.json")
 
 
-def _build_env(ctx: NodeContext) -> ReplicaEnv:
-    """Mirror of the builder's ReplicaEnv, on the live substrate."""
-    m = ctx.material
-    cfg = ctx.system_config
-    store_factory = None
-    if ctx.config.durable_store:
-        from repro.store.filestore import FileStore
-
-        def store_factory(host: str, _ctx=ctx):
-            return FileStore(
-                Path(_ctx.config.out_dir) / "nodes" / host / "store",
-                fsync=_ctx.config.store_fsync,
-                segment_bytes=_ctx.config.store_segment_bytes,
-                metrics=_ctx.metrics,
-                host=host,
-            )
-
-    return ReplicaEnv(
-        kernel=ctx.scheduler,
-        network=ctx.transport,
-        costs=cfg.costs,
-        prime_config=m.prime_config,
-        confidential=cfg.confidential,
-        all_replicas=tuple(m.all_hosts),
-        on_premises=tuple(m.on_premises_hosts),
-        executing=tuple(m.executing_hosts),
-        intro_public=m.intro_group.public if m.intro_group else None,
-        response_public=m.response_group.public,
-        client_registry=m.client_registry,
-        alias_to_client=m.alias_to_client,
-        proxy_of_client=m.proxy_of_client,
-        initial_client_keys=m.initial_client_keys,
-        checkpoint_interval=cfg.checkpoint_interval,
-        checkpoint_delta_interval=cfg.checkpoint_delta_interval,
-        store_compaction_interval=cfg.store_compaction_interval,
-        store_compaction_budget=cfg.store_compaction_budget,
-        key_validity=cfg.key_validity,
-        key_slack=cfg.key_slack,
-        key_renewal_enabled=cfg.key_renewal_enabled,
-        failover_delay=cfg.failover_delay,
-        xfer_chunk_bytes=cfg.xfer_chunk_bytes,
-        xfer_chunk_interval=cfg.xfer_chunk_interval,
-        tracer=ctx.tracer,
-        auditor=ctx.auditor,
-        rng=ctx.rng,
-        metrics=ctx.metrics,
-        store_factory=store_factory,
-        verify_cache=ctx.verify_cache,
-        intro_batch_size=cfg.intro_batch_size,
-        intro_batch_window=cfg.intro_batch_window,
-        crypto_pool=ctx.crypto_pool,
-    )
-
-
-def _build_replica(ctx: NodeContext) -> ReplicaBase:
-    m = ctx.material
-    env = _build_env(ctx)
-    host = ctx.host
-    if host in m.executing_hosts:
-        index = m.executing_hosts.index(host)
-        return ExecutingReplica(
-            env=env,
-            host=host,
-            keystore=m.keystores[host],
-            app_factory=KeyValueApplication,
-            intro_share=m.intro_group.shares[index + 1] if m.intro_group else None,
-            response_share=m.response_group.shares[index + 1],
-        )
-    return StorageReplica(env, host, m.keystores[host])
-
-
 # -- replica process ------------------------------------------------------------------
 
 
 async def _replica_main(config: RtConfig, host: str) -> int:
     ctx = NodeContext(config, host, role="replica")
-    replica = _build_replica(ctx)
+    replica = build_replica(ctx.env, ctx.material, host)
     await ctx.start()
     # Disk-first recovery: replay the local durable prefix (checkpoint +
     # contiguous log tail) before touching the network, then solicit a
@@ -416,7 +354,9 @@ class ClientDriver:
             self._done.clear()
             if self._m_shard is not None:
                 self._m_shard.inc()
-            seq = self.proxy.submit(_update_body(self.proxy.client_id, self.proxy._seq + 1))
+            seq = self.proxy.submit(
+                _update_body(self.proxy.client_id, self.proxy.next_seq)
+            )
             deadline = self.ctx.scheduler.now + per_update_timeout
             while seq not in self._completions and self.ctx.scheduler.now < deadline:
                 try:
@@ -430,9 +370,7 @@ class ClientDriver:
             "client_id": self.proxy.client_id,
             "updates": self.updates,
             "completed": len(self.proxy.completed),
-            "gave_up": int(self.proxy._m_gave_up.value)
-            if hasattr(self.proxy._m_gave_up, "value")
-            else 0,
+            "gave_up": self.proxy.gave_up,
             "retransmissions": self.proxy.retransmissions,
             "latencies": self.proxy.latencies(),
         }
@@ -463,10 +401,9 @@ class OpenLoopClientDriver:
         self.ctx = ctx
         self.proxy = proxy
         self.config = config
-        per_client_rate = max(config.load_rate / max(total_clients, 1), 1e-3)
         self.spec = ArrivalSpec(
             profile=config.load_profile,
-            rate=per_client_rate,
+            rate=config.load_rate / max(total_clients, 1),
             params=dict(config.load_profile_params or {}),
         )
         # This client's contiguous slice of the fleet-wide alias space.
@@ -546,9 +483,7 @@ class OpenLoopClientDriver:
             "client_id": self.proxy.client_id,
             "updates": self.offered,
             "completed": completed,
-            "gave_up": int(self.proxy._m_gave_up.value)
-            if hasattr(self.proxy._m_gave_up, "value")
-            else 0,
+            "gave_up": self.proxy.gave_up,
             "retransmissions": self.proxy.retransmissions,
             "latencies": self.proxy.latencies(),
             "load": {
@@ -568,29 +503,27 @@ class OpenLoopClientDriver:
 async def _client_main(config: RtConfig, client_id: str) -> int:
     # Clients route to their home shard: resolve the slice first, then
     # stand the node context up on that shard's proxy host and ports.
+    # The fleet (the whole threshold keygen) is derived once per process:
+    # the context is handed the home slice instead of deriving it again.
     fleet = generate_fleet(config)
     try:
         home = slice_for_client(fleet, client_id)
-    except Exception:
-        raise SystemExit(f"unknown client {client_id!r} for this deployment")
-    proxy_host = home.material.proxy_of_client.get(client_id)
-    if proxy_host is None:
-        raise SystemExit(f"unknown client {client_id!r} for this deployment")
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc))
+    proxy_host = home.material.proxy_of_client[client_id]
 
-    ctx = NodeContext(config, proxy_host, role="client")
-    proxy = ClientProxy(
+    ctx = NodeContext(config, proxy_host, role="client", shard=home)
+    proxy = build_proxy(
+        ctx.material,
+        ctx.system_config,
+        client_id,
         kernel=ctx.scheduler,
         network=ctx.transport,
-        host=proxy_host,
-        client_id=client_id,
-        signing_key=ctx.material.client_keys[client_id],
-        response_public=ctx.material.response_group.public,
-        on_premises_replicas=list(ctx.material.on_premises_hosts),
-        costs=ctx.system_config.costs,
-        retransmit_timeout=config.retransmit_timeout,
         tracer=ctx.tracer,
         metrics=ctx.metrics,
-        verify_cache=ctx.verify_cache,
+        # Per-process memo: retransmits and duplicate responses hit it.
+        verify_cache=build_verify_cache(ctx.system_config, ctx.metrics),
+        retransmit_timeout=config.retransmit_timeout,
     )
     await ctx.start()
 

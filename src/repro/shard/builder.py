@@ -32,19 +32,18 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.app import Application, KeyValueApplication
 from repro.crypto.rsa import generate_keypair
-from repro.errors import ConfigurationError
-from repro.obs import NULL_METRICS, MetricsRegistry, SpanTracker
-from repro.rt.bootstrap import validate_client_ids
+from repro.obs import MetricsRegistry, SpanTracker
+from repro.rt.bootstrap import shard_configs, validate_client_ids
 from repro.shard.app import ShardAwareApplication, ShardCrossContext
 from repro.shard.coordinator import CrossShardCoordinator
 from repro.shard.messages import ShardMapAnnounce
 from repro.shard.router import ShardRouter
-from repro.shard.shardmap import ShardMap, shard_seed
+from repro.shard.shardmap import ShardMap
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process, Timeout, spawn
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
-from repro.system.builder import BodyFn, Deployment, GroupContext, build
+from repro.system.builder import BodyFn, Deployment, build, new_world
 from repro.system.config import SystemConfig
 
 
@@ -209,19 +208,9 @@ def build_sharded(
         )
 
     # -- shared world ---------------------------------------------------------
-    kernel = Kernel()
-    rng = RngRegistry(config.seed)
-    tracer = Tracer(kernel, enabled=config.tracing)
-    metrics = (
-        MetricsRegistry(now_fn=lambda: kernel.now)
-        if config.metrics_enabled
-        else NULL_METRICS
-    )
-    spans = SpanTracker().attach(tracer) if config.tracing else None
-    metrics.register_gauge("kernel.events_processed", lambda: kernel.events_processed)
-    metrics.register_gauge("kernel.pending_events", lambda: kernel.pending_events)
-    metrics.register_gauge("kernel.timers_scheduled", lambda: kernel.timers_scheduled)
-    metrics.register_gauge("kernel.heap_depth", lambda: kernel.heap_depth)
+    world = new_world(config)
+    kernel, rng, tracer = world.kernel, world.rng, world.tracer
+    metrics, spans = world.metrics, world.spans
 
     # -- global client identities --------------------------------------------
     client_ids = [f"client-{i:02d}" for i in range(config.num_clients)]
@@ -231,37 +220,20 @@ def build_sharded(
         cid: generate_keypair(config.rsa_bits, keygen) for cid in client_ids
     }
 
-    assignment = shard_map.assign(client_ids)
-    empty = sorted(s for s, ids in assignment.items() if not ids)
-    if empty:
-        raise ConfigurationError(
-            f"shard map (seed={config.seed}, shards={config.shards}) leaves "
-            f"shards {empty} without clients; use more clients, fewer "
-            "shards, or another seed"
-        )
-
     # -- per-shard groups -----------------------------------------------------
     cross = ShardCrossContext()
     shards: List[Deployment] = []
-    for shard_id in range(config.shards):
-        local_ids = assignment[shard_id]
-        shard_config = replace(
-            config,
-            shards=1,
-            num_clients=len(local_ids),
-            seed=shard_seed(config.seed, shard_id),
-        )
+    for shard_id, (namespace, local_ids, shard_config) in enumerate(
+        shard_configs(config)
+    ):
 
         def shard_app_factory(_shard_id=shard_id):
             return ShardAwareApplication(app_factory(), _shard_id, cross)
 
-        group = GroupContext(
-            kernel=kernel,
+        group = replace(
+            world,
             rng=RngRegistry(shard_config.seed),
-            tracer=tracer,
-            metrics=metrics,
-            spans=spans,
-            namespace=f"s{shard_id}.",
+            namespace=namespace,
             client_ids=local_ids,
             client_keys=client_keys,
             shard_id=shard_id,
@@ -290,7 +262,7 @@ def build_sharded(
 
     routers: Dict[str, ShardRouter] = {}
     for shard_id, deployment in enumerate(shards):
-        for cid in assignment[shard_id]:
+        for cid in deployment.proxies:
             routers[cid] = ShardRouter(
                 client_id=cid,
                 shard_id=shard_id,

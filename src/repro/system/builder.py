@@ -10,6 +10,7 @@ returns a :class:`Deployment` handle for tests, examples, and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.app import Application, KeyValueApplication
@@ -17,13 +18,12 @@ from repro.core.confidentiality import Auditor
 from repro.core.distribution import DistributionPlan
 from repro.core.proxy import ClientProxy
 from repro.core.replica import ExecutingReplica, ReplicaBase, ReplicaEnv, StorageReplica
-from repro.crypto.verifycache import VerifyCache
 from repro.net.attacks import AttackController
 from repro.net.network import Network
 from repro.obs import NULL_METRICS, MetricsRegistry, SpanTracker
 from repro.net.overlay import Overlay
 from repro.net.topology import Topology
-from repro.rt.bootstrap import generate_material
+from repro.rt.bootstrap import build_env, build_proxy, build_replica, generate_material
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process, Timeout, spawn
 from repro.sim.rng import RngRegistry
@@ -45,7 +45,8 @@ class GroupContext:
     :func:`build` switches it from "construct the whole world" to "construct
     one group inside an existing world". ``client_keys`` carries the global
     client signing keys so every group can verify every client (cross-shard
-    commits are signed by foreign clients).
+    commits are signed by foreign clients). The defaults are the classic
+    world: no namespace, ``client-00..`` from ``config.num_clients``.
     """
 
     kernel: "Kernel"
@@ -53,9 +54,9 @@ class GroupContext:
     tracer: Tracer
     metrics: MetricsRegistry
     spans: Optional[SpanTracker]
-    namespace: str
-    client_ids: List[str]
-    client_keys: Dict[str, object]
+    namespace: str = ""
+    client_ids: Optional[List[str]] = None
+    client_keys: Optional[Dict[str, object]] = None
     shard_id: int = 0
 
 
@@ -82,7 +83,6 @@ class Deployment:
     env: ReplicaEnv
     metrics: MetricsRegistry
     spans: Optional[SpanTracker]
-    crypto_pool: Optional[object] = None
     shard_id: int = 0
 
     def start(self) -> None:
@@ -92,8 +92,8 @@ class Deployment:
 
     def shutdown(self) -> None:
         """Release external resources (the crypto worker pool, if any)."""
-        if self.crypto_pool is not None:
-            self.crypto_pool.shutdown()
+        if self.env.crypto_pool is not None:
+            self.env.crypto_pool.shutdown()
 
     def run(self, until: float) -> float:
         """Advance the simulation to virtual time ``until``."""
@@ -160,6 +160,25 @@ def _default_body(client_id: str, seq: int) -> bytes:
     return f"SET {client_id}-key-{seq % 17} value-{seq}".encode("utf-8")
 
 
+def new_world(config: SystemConfig) -> GroupContext:
+    """Kernel, RNG registry, tracer, metrics and spans for ``config``."""
+    kernel = Kernel()
+    metrics = (
+        MetricsRegistry(now_fn=lambda: kernel.now)
+        if config.metrics_enabled
+        else NULL_METRICS
+    )
+    metrics.register_gauge("kernel.events_processed", lambda: kernel.events_processed)
+    metrics.register_gauge("kernel.pending_events", lambda: kernel.pending_events)
+    metrics.register_gauge("kernel.timers_scheduled", lambda: kernel.timers_scheduled)
+    metrics.register_gauge("kernel.heap_depth", lambda: kernel.heap_depth)
+    tracer = Tracer(kernel, enabled=config.tracing)
+    # Causal spans piggyback on the tracer; without tracing there are no
+    # milestone events to observe, so there is nothing to attach.
+    spans = SpanTracker().attach(tracer) if config.tracing else None
+    return GroupContext(kernel, RngRegistry(config.seed), tracer, metrics, spans)
+
+
 def build(
     config: SystemConfig,
     app_factory: Optional[Callable[[], Application]] = None,
@@ -174,46 +193,20 @@ def build(
     classic single-group build, byte-identical to pre-shard releases.
     """
     app_factory = app_factory or KeyValueApplication
-    if group is None:
-        kernel = Kernel()
-        rng = RngRegistry(config.seed)
-        tracer = Tracer(kernel, enabled=config.tracing)
-
-        metrics = (
-            MetricsRegistry(now_fn=lambda: kernel.now)
-            if config.metrics_enabled
-            else NULL_METRICS
-        )
-        # Causal spans piggyback on the tracer; without tracing there are no
-        # milestone events to observe, so there is nothing to attach.
-        spans = SpanTracker().attach(tracer) if config.tracing else None
-        metrics.register_gauge("kernel.events_processed", lambda: kernel.events_processed)
-        metrics.register_gauge("kernel.pending_events", lambda: kernel.pending_events)
-        metrics.register_gauge("kernel.timers_scheduled", lambda: kernel.timers_scheduled)
-        metrics.register_gauge("kernel.heap_depth", lambda: kernel.heap_depth)
-
-        # Geography, roles, and every key in the system come from the shared
-        # deterministic dealer; live RtLab nodes re-derive the identical
-        # material from (config, seed) in their own processes.
-        material = generate_material(config, rng)
-    else:
-        kernel = group.kernel
-        rng = group.rng
-        tracer = group.tracer
-        metrics = group.metrics
-        spans = group.spans
-        material = generate_material(
-            config,
-            rng,
-            namespace=group.namespace,
-            client_ids=group.client_ids,
-            client_keys=group.client_keys,
-        )
-    plan = material.plan
+    group = group or new_world(config)
+    kernel, rng, tracer = group.kernel, group.rng, group.tracer
+    metrics, spans = group.metrics, group.spans
+    # Geography, roles, and every key in the system come from the shared
+    # deterministic dealer; live RtLab nodes re-derive the identical
+    # material from (config, seed) in their own processes.
+    material = generate_material(
+        config,
+        rng,
+        namespace=group.namespace,
+        client_ids=group.client_ids,
+        client_keys=group.client_keys,
+    )
     topology = material.topology
-    on_prem_hosts = material.on_premises_hosts
-    dc_hosts = material.data_center_hosts
-    all_hosts = material.all_hosts
 
     overlay = Overlay(topology)
     network = Network(
@@ -230,134 +223,42 @@ def build(
     auditor = Auditor(tracer=tracer)
     network.inspector = auditor.inspect_delivery
 
-    prime_config = material.prime_config
-    executing_hosts = material.executing_hosts
-    intro_group = material.intro_group
-    response_group = material.response_group
-    client_ids = material.client_ids
-    client_keys = material.client_keys
-    client_registry = material.client_registry
-    alias_to_client = material.alias_to_client
-    initial_client_keys = material.initial_client_keys
-    proxy_of_client = material.proxy_of_client
-    keystores = material.keystores
-
-    store_factory = None
-    if config.store_dir is not None:
-        from pathlib import Path
-
-        from repro.store.filestore import FileStore
-
-        store_root = Path(config.store_dir)
-
-        def store_factory(host: str, _root=store_root, _metrics=metrics):
-            return FileStore(
-                _root / host,
-                fsync=config.store_fsync,
-                segment_bytes=config.store_segment_bytes,
-                metrics=_metrics,
-                host=host,
-            )
-
-    # One verification memo for the whole deployment: the sim runs every
-    # replica in-process, so a retransmit verified once by any replica is
-    # a cache hit everywhere. Simulated crypto costs are charged per
-    # replica as before; only the real modexp is skipped.
-    verify_cache = None
-    if config.verify_cache_enabled:
-        verify_cache = VerifyCache(
-            hit_counter=metrics.counter("crypto.verify_cache_hit"),
-            miss_counter=metrics.counter("crypto.verify_cache_miss"),
-        )
-
-    crypto_pool = None
-    if config.crypto_workers > 0:
-        from repro.crypto.pool import CryptoPool
-
-        crypto_pool = CryptoPool(workers=config.crypto_workers)
-    if config.intro_batch_size > 1:
-        # Seed the proposer window jitter from the deployment seed so
-        # batched runs are reproducible. Singleton runs never draw from
-        # this stream, preserving byte-identity at batch size 1.
-        from repro.core.intro import seed_batch_jitter
-
-        seed_batch_jitter(config.seed)
-
-    env = ReplicaEnv(
-        kernel=kernel,
-        network=network,
-        costs=config.costs,
-        prime_config=prime_config,
-        confidential=config.confidential,
-        all_replicas=tuple(all_hosts),
-        on_premises=tuple(on_prem_hosts),
-        executing=tuple(executing_hosts),
-        intro_public=intro_group.public if intro_group else None,
-        response_public=response_group.public,
-        client_registry=client_registry,
-        alias_to_client=alias_to_client,
-        proxy_of_client=proxy_of_client,
-        initial_client_keys=initial_client_keys,
-        checkpoint_interval=config.checkpoint_interval,
-        checkpoint_delta_interval=config.checkpoint_delta_interval,
-        store_compaction_interval=config.store_compaction_interval,
-        store_compaction_budget=config.store_compaction_budget,
-        key_validity=config.key_validity,
-        key_slack=config.key_slack,
-        key_renewal_enabled=config.key_renewal_enabled,
-        failover_delay=config.failover_delay,
-        xfer_chunk_bytes=config.xfer_chunk_bytes,
-        xfer_chunk_interval=config.xfer_chunk_interval,
-        tracer=tracer,
+    # One env — hence one verification memo and one crypto pool — for the
+    # whole deployment: the sim runs every replica in-process, so a
+    # retransmit verified once by any replica is a cache hit everywhere.
+    # Simulated crypto costs are charged per replica as before; only the
+    # real modexp is skipped.
+    substrate = dict(kernel=kernel, network=network, tracer=tracer, metrics=metrics)
+    env = build_env(
+        material,
+        config,
         auditor=auditor,
         rng=rng,
-        metrics=metrics,
-        store_factory=store_factory,
-        verify_cache=verify_cache,
-        intro_batch_size=config.intro_batch_size,
-        intro_batch_window=config.intro_batch_window,
-        crypto_pool=crypto_pool,
+        # A store directory gives every replica a FileStore under
+        # <store_dir>/<host>.
+        store_path=(
+            Path(config.store_dir).joinpath if config.store_dir is not None else None
+        ),
+        **substrate,
     )
-
-    replicas: Dict[str, ReplicaBase] = {}
-    for index, host in enumerate(executing_hosts):
-        intro_share = intro_group.shares[index + 1] if intro_group else None
-        replicas[host] = ExecutingReplica(
-            env=env,
-            host=host,
-            keystore=keystores[host],
-            app_factory=app_factory,
-            intro_share=intro_share,
-            response_share=response_group.shares[index + 1],
-        )
-    if config.confidential:
-        for host in dc_hosts:
-            replicas[host] = StorageReplica(env, host, keystores[host])
+    replicas: Dict[str, ReplicaBase] = {
+        host: build_replica(env, material, host, app_factory)
+        for host in material.all_hosts
+    }
 
     recorder = LatencyRecorder()
     proxies: Dict[str, ClientProxy] = {}
-    for cid in client_ids:
-        proxy = ClientProxy(
-            kernel=kernel,
-            network=network,
-            host=proxy_of_client[cid],
-            client_id=cid,
-            signing_key=client_keys[cid],
-            response_public=response_group.public,
-            on_premises_replicas=list(on_prem_hosts),
-            costs=config.costs,
-            tracer=tracer,
-            metrics=metrics,
-            verify_cache=verify_cache,
+    for cid in material.client_ids:
+        proxies[cid] = build_proxy(
+            material, config, cid, verify_cache=env.verify_cache, **substrate
         )
-        recorder.attach(proxy)
-        proxies[cid] = proxy
+        recorder.attach(proxies[cid])
 
     recovery = RecoveryOrchestrator(kernel, replicas, tracer=tracer)
 
     return Deployment(
         config=config,
-        plan=plan,
+        plan=material.plan,
         kernel=kernel,
         rng=rng,
         tracer=tracer,
@@ -367,16 +268,13 @@ def build(
         attacks=attacks,
         auditor=auditor,
         replicas=replicas,
-        on_premises_hosts=tuple(on_prem_hosts),
-        data_center_hosts=tuple(dc_hosts),
+        on_premises_hosts=material.on_premises_hosts,
+        data_center_hosts=material.data_center_hosts,
         proxies=proxies,
         recorder=recorder,
         recovery=recovery,
         env=env,
         metrics=metrics,
         spans=spans,
-        crypto_pool=crypto_pool,
-        shard_id=group.shard_id if group is not None else 0,
+        shard_id=group.shard_id,
     )
-
-

@@ -1,13 +1,18 @@
-"""Deployment configuration for full-system simulations."""
+"""Deployment configuration: one declaration per knob, shared by the
+simulation (:class:`SystemConfig`) and the live runtime
+(:class:`~repro.rt.bootstrap.RtConfig`)."""
 
 from __future__ import annotations
 
+import argparse
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Type, TypeVar
 
 from repro.costs import CostModel
 from repro.errors import ConfigurationError
+
+C = TypeVar("C")
 
 
 class Mode(enum.Enum):
@@ -17,33 +22,43 @@ class Mode(enum.Enum):
     CONFIDENTIAL = "confidential"      # Confidential Spire: DC replicas store only
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    """Everything needed to build one deployment.
+def flag(option: str, help: Optional[str] = None, **kwargs: Any) -> Dict[str, Any]:
+    """Field metadata that makes a knob a CLI option (see
+    :func:`add_config_flags`): spelling, help, and any further
+    ``add_argument`` keywords (``choices``, ``metavar``)."""
+    return {"flag": option, "help": help, **kwargs}
 
-    Defaults reproduce the paper's evaluation setup: two control centers
-    and two data centers on the emulated East Coast topology, ten clients
-    submitting one update per second each.
+
+@dataclass(frozen=True)
+class ProtocolConfig:
+    """The knobs that fix a deployment on either substrate.
+
+    ``f`` and the number of data centers give ``k``, ``n = 3f + 2k + 1``
+    and the per-site placement; the rest are the checkpoint periods,
+    Prime's timers, and the mechanical choices (batching, store policy)
+    both substrates honour. Declared once here, with all their validation;
+    :class:`SystemConfig` and :class:`~repro.rt.bootstrap.RtConfig` add
+    only what is particular to their substrate.
     """
 
-    mode: Mode = Mode.CONFIDENTIAL
-    f: int = 1
-    data_centers: int = 2
-    seed: int = 1
+    mode: Mode = field(default=Mode.CONFIDENTIAL, metadata=flag("--mode"))
+    f: int = field(default=1, metadata=flag("--f"))
+    data_centers: int = field(default=2, metadata=flag("--data-centers"))
+    seed: int = field(default=1, metadata=flag("--seed"))
 
     # ShardLab: number of independent replica groups. 1 is the classic
     # single-group deployment (trace-byte-identical to pre-shard builds);
-    # S > 1 partitions the client keyspace across S groups, each with its
-    # own Prime instance, threshold groups, and stores, fronted by a
-    # routing tier (see repro.shard). ``route_delay`` is the simulated
-    # one-way routing-tier cost charged per routed submission; it only
-    # applies when shards > 1.
-    shards: int = 1
-    route_delay: float = 0.0005
+    # S > 1 partitions the client keyspace across S groups, each a full
+    # Prime deployment (own threshold groups, own stores, own key-renewal
+    # schedule) with namespaced hostnames (``s0.`` ...), fronted by the
+    # deterministic :class:`~repro.shard.shardmap.ShardMap`.
+    shards: int = field(default=1, metadata=flag(
+        "--shards", "independent replica groups; clients are routed to "
+                    "their home shard"))
 
     # Workload (Section VII: ten substations at 1 update/s each).
-    num_clients: int = 10
-    update_interval: float = 1.0
+    num_clients: int = field(default=10, metadata=flag("--clients"))
+    update_interval: float = field(default=1.0, metadata=flag("--interval"))
 
     # Protocol parameters.
     checkpoint_interval: int = 100
@@ -51,26 +66,8 @@ class SystemConfig:
     vc_timeout: float = 0.100
     failover_delay: float = 0.120
 
-    # Key renewal (Section V-D); off by default, as in the paper's
-    # implementation ("not yet implemented" in Spire; we implement it and
-    # evaluate it in the A3 ablation).
-    key_renewal_enabled: bool = False
-    key_validity: int = 100
-    key_slack: int = 10
-
-    # Residual random loss on inter-site links (after Spines rerouting).
-    wan_loss_probability: float = 0.0
-
-    # State-transfer flow control (None = the paper prototype's
-    # single-burst responses, which produced its 200-450 ms spikes).
-    xfer_chunk_bytes: Optional[int] = 65536
-    xfer_chunk_interval: float = 0.004
-
-    # Durable storage (repro.store). None keeps the volatile MemoryStore
-    # (the deterministic default; traces byte-identical across seeds);
-    # a directory path gives every replica a FileStore under
-    # <store_dir>/<host>, enabling crash recovery from disk.
-    store_dir: Optional[str] = None
+    # Durable storage (repro.store): fsync policy and segment size of the
+    # per-replica FileStore, wherever the substrate roots it.
     store_fsync: str = "batch"
     store_segment_bytes: int = 1 << 20
 
@@ -81,9 +78,113 @@ class SystemConfig:
     # arms a background tick every that many (simulated or wall) seconds
     # that rewrites up to ``store_compaction_budget`` sealed log segments,
     # dropping below-stable and replayed-duplicate records.
-    checkpoint_delta_interval: int = 0
-    store_compaction_interval: float = 0.0
-    store_compaction_budget: int = 2
+    checkpoint_delta_interval: int = field(default=0, metadata=flag(
+        "--delta-interval", "full checkpoint every N-th checkpoint, "
+                            "encrypted state deltas between (0 = every "
+                            "checkpoint is a full snapshot)"))
+    store_compaction_interval: float = field(default=0.0, metadata=flag(
+        "--compaction-interval", "seconds between background log-compaction "
+                                 "ticks (0 = compaction off)"))
+    store_compaction_budget: int = field(default=2, metadata=flag(
+        "--compaction-budget", "sealed segments rewritten per compaction tick"))
+
+    # Batched introduction (BatchLab). Size 1 is the singleton path and
+    # stays trace-byte-identical to pre-batching builds; sizes > 1
+    # aggregate up to that many updates per proposer window under one
+    # threshold signature over a Merkle root.
+    intro_batch_size: int = field(default=1, metadata=flag(
+        "--batch-size", "intro batch size (1 = singleton path)"))
+    intro_batch_window: float = field(default=0.02, metadata=flag(
+        "--batch-window", "intro batch flush window in seconds"))
+
+    # Crypto worker processes (repro.crypto.pool). 0 keeps threshold
+    # sign/combine in-process (the sim default); > 0 builds a CryptoPool
+    # with that many workers — results are bit-identical either way.
+    crypto_workers: int = field(default=0, metadata=flag(
+        "--crypto-workers", "crypto worker processes per replica "
+                            "(0 = in-process signing)"))
+
+    #: (field, smallest valid value); subclasses append their own.
+    _MINIMUM = (
+        ("f", 1), ("data_centers", 1), ("num_clients", 1), ("shards", 1),
+        ("intro_batch_size", 1), ("crypto_workers", 0),
+        ("checkpoint_delta_interval", 0), ("store_compaction_interval", 0),
+        ("store_compaction_budget", 1),
+    )
+
+    def __post_init__(self) -> None:
+        try:
+            # Accept the Mode or its string (spec files, CLI, keyword callers).
+            object.__setattr__(self, "mode", Mode(self.mode))
+        except ValueError:
+            raise ConfigurationError(
+                f"mode must be one of {[m.value for m in Mode]}, got {self.mode!r}"
+            ) from None
+        for name, minimum in self._MINIMUM:
+            if getattr(self, name) < minimum:
+                raise ConfigurationError(
+                    f"{name} must be at least {minimum}, got {getattr(self, name)}"
+                )
+        if self.data_centers > 3:
+            raise ConfigurationError("1-3 data centers supported")
+        if self.shards > 64:
+            raise ConfigurationError("1-64 shards supported")
+        if self.shards > self.num_clients:
+            raise ConfigurationError(
+                f"{self.shards} shards need at least {self.shards} clients "
+                f"(got {self.num_clients}); every shard must own a slice of "
+                "the client keyspace"
+            )
+        # The distribution rule (Section IV-B / Table I) is checked here so
+        # an infeasible (f, k, S) combination fails at config construction
+        # with a clear error, not mid-way through material generation.
+        validate_distribution(self.mode, self.f, self.data_centers)
+        if self.store_fsync not in ("always", "batch", "never"):
+            raise ConfigurationError(
+                f"store_fsync must be always/batch/never, got {self.store_fsync!r}"
+            )
+        if self.intro_batch_window <= 0:
+            raise ConfigurationError("intro_batch_window must be positive")
+
+    @property
+    def confidential(self) -> bool:
+        return self.mode is Mode.CONFIDENTIAL
+
+
+@dataclass(frozen=True)
+class SystemConfig(ProtocolConfig):
+    """Everything needed to build one simulated deployment.
+
+    Defaults reproduce the paper's evaluation setup: two control centers
+    and two data centers on the emulated East Coast topology, ten clients
+    submitting one update per second each.
+    """
+
+    # The simulated one-way routing-tier cost charged per routed
+    # submission; it only applies when shards > 1.
+    route_delay: float = 0.0005
+
+    # Key renewal (Section V-D); off by default, as in the paper's
+    # implementation ("not yet implemented" in Spire; we implement it and
+    # evaluate it in the A3 ablation).
+    key_renewal_enabled: bool = field(default=False, metadata=flag("--key-renewal"))
+    key_validity: int = 100
+    key_slack: int = 10
+
+    # Residual random loss on inter-site links (after Spines rerouting).
+    wan_loss_probability: float = field(default=0.0, metadata=flag(
+        "--loss", "WAN loss probability"))
+
+    # State-transfer flow control (None = the paper prototype's
+    # single-burst responses, which produced its 200-450 ms spikes).
+    xfer_chunk_bytes: Optional[int] = 65536
+    xfer_chunk_interval: float = 0.004
+
+    # None keeps the volatile MemoryStore (the deterministic default;
+    # traces byte-identical across seeds); a directory path gives every
+    # replica a FileStore under <store_dir>/<host>, enabling crash
+    # recovery from disk.
+    store_dir: Optional[str] = None
 
     # Cryptographic sizes. Small-but-real keys keep pure-Python wall time
     # tolerable; simulated costs come from `costs`, not from wall time.
@@ -99,69 +200,96 @@ class SystemConfig:
     frame_cache_enabled: bool = True
     verify_cache_enabled: bool = True
 
-    # Batched introduction (BatchLab). Size 1 is the singleton path and
-    # stays trace-byte-identical to pre-batching builds; sizes > 1
-    # aggregate up to that many updates per proposer window under one
-    # threshold signature over a Merkle root.
-    intro_batch_size: int = 1
-    intro_batch_window: float = 0.02
-
-    # Crypto worker processes (repro.crypto.pool). 0 keeps threshold
-    # sign/combine in-process (the sim default); > 0 builds a CryptoPool
-    # with that many workers — results are bit-identical either way.
-    crypto_workers: int = 0
-
     costs: CostModel = field(default_factory=CostModel)
     tracing: bool = True
     # Observability: when False the deployment wires the null registry and
     # every instrumentation site degrades to a no-op attribute access.
     metrics_enabled: bool = True
 
-    def __post_init__(self) -> None:
-        if self.f < 1:
-            raise ConfigurationError("f must be at least 1")
-        if not 1 <= self.data_centers <= 3:
-            raise ConfigurationError("1-3 data centers supported")
-        if self.num_clients < 1:
-            raise ConfigurationError("at least one client required")
-        if not 1 <= self.shards <= 64:
-            raise ConfigurationError("1-64 shards supported")
-        if self.shards > self.num_clients:
-            raise ConfigurationError(
-                f"{self.shards} shards need at least {self.shards} clients "
-                f"(got {self.num_clients}); every shard must own a slice of "
-                "the client keyspace"
-            )
-        if self.route_delay < 0:
-            raise ConfigurationError("route_delay must be non-negative")
-        # The distribution rule (Section IV-B / Table I) is checked here so
-        # an infeasible (f, k, S) combination fails at config construction
-        # with a clear error, not mid-way through material generation.
-        validate_distribution(self.mode, self.f, self.data_centers)
-        if self.store_fsync not in ("always", "batch", "never"):
-            raise ConfigurationError(
-                f"store_fsync must be always/batch/never, got {self.store_fsync!r}"
-            )
-        if self.intro_batch_size < 1:
-            raise ConfigurationError("intro_batch_size must be at least 1")
-        if self.intro_batch_window <= 0:
-            raise ConfigurationError("intro_batch_window must be positive")
-        if self.crypto_workers < 0:
-            raise ConfigurationError("crypto_workers must be non-negative")
-        if self.checkpoint_delta_interval < 0:
-            raise ConfigurationError(
-                "checkpoint_delta_interval must be non-negative"
-            )
-        if self.store_compaction_interval < 0:
-            raise ConfigurationError(
-                "store_compaction_interval must be non-negative"
-            )
-        if self.store_compaction_budget < 1:
-            raise ConfigurationError("store_compaction_budget must be at least 1")
+    _MINIMUM = ProtocolConfig._MINIMUM + (("route_delay", 0),)
 
-    @property
-    def confidential(self) -> bool:
-        return self.mode is Mode.CONFIDENTIAL
+
+def project(source: Any, target: Type[C], **overrides: Any) -> C:
+    """``target`` built from every field ``source`` shares with it by name.
+
+    The one way a config is derived from another: a knob declared on both
+    sides is carried without being named, so it cannot be forgotten.
+    """
+    names = {f.name for f in fields(target)}
+    shared = {
+        f.name: getattr(source, f.name) for f in fields(source) if f.name in names
+    }
+    return target(**{**shared, **overrides})
+
+
+# -- CLI options generated from the fields ------------------------------------------
+
+
+def _dest(spec: Any) -> str:
+    """The argparse destination of a flagged field: ``--no-x`` switches a
+    default-on field off under the field's own name; any other option is
+    stored under its spelling."""
+    if spec.default is True:
+        return spec.name
+    return spec.metadata["flag"].lstrip("-").replace("-", "_")
+
+
+def add_config_flags(
+    parser: argparse.ArgumentParser,
+    cls: type,
+    names: Iterable[str],
+    help: Optional[Mapping[str, str]] = None,
+) -> None:
+    """One option per named field of ``cls``: spelling, help and choices
+    from the field's :func:`flag` metadata, type and default from ``cls``
+    itself (so a subclass's live-scaled default is the option's default).
+    ``help`` overrides the text for single fields of this one parser."""
+    by_name = {f.name: f for f in fields(cls)}
+    for name in names:
+        spec = by_name[name]
+        kwargs = dict(spec.metadata)
+        option = kwargs.pop("flag")
+        if help and name in help:
+            kwargs["help"] = help[name]
+        default = spec.default
+        if isinstance(default, bool):
+            kwargs["action"] = "store_false" if default else "store_true"
+        elif isinstance(default, enum.Enum):
+            kwargs.update(default=default.value,
+                          choices=[member.value for member in type(default)])
+        else:
+            kwargs["default"] = default
+            if not isinstance(default, str):
+                kwargs["type"] = type(default)
+        parser.add_argument(option, dest=_dest(spec), **kwargs)
+
+
+def config_from_args(
+    cls: Type[C], args: argparse.Namespace, names: Iterable[str], **overrides: Any
+) -> C:
+    """``cls`` with the named fields read back from the options
+    :func:`add_config_flags` generated for them."""
+    by_name = {f.name: f for f in fields(cls)}
+    values = {}
+    for name in names:
+        value = getattr(args, _dest(by_name[name]))
+        if isinstance(by_name[name].default, enum.Enum):
+            value = type(by_name[name].default)(value)
+        values[name] = value
+    return cls(**{**values, **overrides})
+
+
+def config_argv(config: Any, names: Iterable[str]) -> List[str]:
+    """The command-line spelling of ``config``'s named fields — the
+    inverse of :func:`config_from_args`, for manifests that invoke a
+    generated parser."""
+    by_name = {f.name: f for f in fields(config)}
+    argv: List[str] = []
+    for name in names:
+        value = getattr(config, name)
+        argv += [by_name[name].metadata["flag"],
+                 str(value.value if isinstance(value, enum.Enum) else value)]
+    return argv
 
 
 def validate_distribution(mode: Mode, f: int, data_centers: int) -> None:

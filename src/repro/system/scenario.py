@@ -46,7 +46,7 @@ from typing import Any, Dict
 from repro.errors import ConfigurationError
 from repro.system.adversary import Adversary, Behavior
 from repro.system.builder import Deployment, build
-from repro.system.config import Mode, SystemConfig
+from repro.system.config import SystemConfig
 
 _ACTIONS = ("isolate", "reconnect", "degrade", "restore", "recover",
             "compromise", "release")
@@ -104,10 +104,7 @@ def validate_scenario(scenario: Dict[str, Any]) -> None:
 def run_scenario(scenario: Dict[str, Any]) -> ScenarioResult:
     """Build, script, run, and evaluate one scenario."""
     validate_scenario(scenario)
-    config_fields = dict(scenario.get("config", {}))
-    if "mode" in config_fields:
-        config_fields["mode"] = Mode(config_fields["mode"])
-    config = SystemConfig(**config_fields)
+    config = SystemConfig(**scenario.get("config", {}))
     deployment = build(config)
     deployment.start()
 

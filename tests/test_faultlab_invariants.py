@@ -136,7 +136,9 @@ class TestCheckpointMonotonicity:
 def _disclosure_ctx(validity=10, slack=2, renewal=True, loot=None):
     deployment = SimpleNamespace(
         env=SimpleNamespace(
-            key_renewal_enabled=renewal, key_validity=validity, key_slack=slack
+            config=SimpleNamespace(
+                key_renewal_enabled=renewal, key_validity=validity, key_slack=slack
+            )
         )
     )
     adversary = SimpleNamespace(loot=loot or {})

@@ -48,6 +48,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SystemConfig(route_delay=-0.001)
 
+    def test_out_of_range_knob_is_named(self):
+        for name, value in (("intro_batch_size", 0), ("crypto_workers", -1),
+                            ("store_compaction_budget", 0)):
+            with pytest.raises(ConfigurationError, match=name):
+                SystemConfig(**{name: value})
+        with pytest.raises(ConfigurationError, match="store_fsync"):
+            SystemConfig(store_fsync="bogus")
+
 
 class TestClientIdentityValidation:
     """Duplicate/colliding client ids must fail loudly, not overwrite keys."""
@@ -121,6 +129,45 @@ class TestBuildConfidential:
         b = build(SystemConfig(num_clients=2, seed=9))
         assert a.env.prime_config.replica_ids == b.env.prime_config.replica_ids
         assert a.env.response_public.n_modulus == b.env.response_public.n_modulus
+
+
+class TestOneConfigByReference:
+    def test_every_shared_knob_reaches_every_replica_unchanged(self):
+        """The sim path of the shared assembly (per shard, under the shard
+        split's own shards/num_clients/seed): replicas read the group's
+        one SystemConfig, not a copy of its fields."""
+        from dataclasses import fields
+
+        from repro.rt.bootstrap import shard_configs
+        from repro.shard.builder import build_sharded
+        from repro.system.config import ProtocolConfig
+        from tests.test_config_single_source import SHARED_NON_DEFAULT
+
+        config = SystemConfig(**SHARED_NON_DEFAULT)
+        sharded = build_sharded(config)
+        try:
+            planned = shard_configs(config)
+            assert len(sharded.shards) == len(planned) == config.shards
+            for group, (_ns, client_ids, shard_config) in zip(sharded.shards, planned):
+                assert group.config == shard_config
+                assert sorted(group.proxies) == client_ids
+                for replica in group.replicas.values():
+                    assert replica.env is group.env
+                    assert replica.env.config is group.config
+                for spec in fields(ProtocolConfig):
+                    if spec.name not in ("shards", "num_clients", "seed"):
+                        assert getattr(group.config, spec.name) == getattr(
+                            config, spec.name
+                        ), spec.name
+        finally:
+            sharded.shutdown()
+
+    def test_unsharded_build_hands_replicas_the_callers_config(self):
+        config = SystemConfig(num_clients=2, key_validity=50, key_renewal_enabled=True)
+        deployment = build(config)
+        replica = deployment.executing_replicas()[0]
+        assert replica.env.config is config
+        assert replica.renewal.validity == 50 and replica.renewal.enabled
 
 
 class TestBuildSpire:
