@@ -69,7 +69,7 @@ def test_key_renewal_overhead(benchmark):
     assert abs(overhead) < 5.0
 
     # Disclosure bound: epoch-0 keys decrypt nothing beyond epoch 0.
-    alias = sorted(on.env.alias_to_client)[0]
+    alias = sorted(map(client_alias, on.env.client_registry))[0]
     schedule = replica.key_manager.schedule_for(alias)
     assert len(schedule.epochs) >= 3
     leaked = schedule.epochs[0]

@@ -13,7 +13,7 @@ client.
 Run:  python examples/key_renewal_demo.py
 """
 
-from repro.core.messages import EncryptedUpdate
+from repro.core.messages import EncryptedUpdate, client_alias
 from repro.crypto import symmetric
 from repro.errors import DecryptionError
 from repro.system import Mode, SystemConfig, build
@@ -31,6 +31,7 @@ def main() -> None:
         checkpoint_interval=25,
     )
     deployment = build(config)
+    alias_to_client = {client_alias(cid): cid for cid in deployment.env.client_registry}
     deployment.start()
     deployment.start_workload(duration=20.0, interval=0.5)
 
@@ -40,7 +41,7 @@ def main() -> None:
 
     def steal():
         victim = deployment.replicas["cc-a-r1"]
-        for alias in deployment.env.alias_to_client:
+        for alias in alias_to_client:
             epoch = victim.key_manager.schedule_for(alias).latest
             stolen[alias] = (epoch.start_seq, epoch.end_seq, epoch.keys)
         print(f"[t=10] adversary stole keys for {len(stolen)} clients "
@@ -57,7 +58,7 @@ def main() -> None:
     storage = deployment.storage_replicas()[0]
     print(f"attacking {storage.host}'s stored ciphertexts with the stolen keys:")
     for alias, (start, end, keys) in sorted(stolen.items()):
-        client = deployment.env.alias_to_client[alias]
+        client = alias_to_client[alias]
         readable, unreadable = [], 0
         for record in storage.update_log.values():
             for _ordinal, payload in record.entries:

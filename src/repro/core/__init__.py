@@ -9,8 +9,16 @@
   alone (Section V-C),
 - :mod:`repro.core.key_renewal` — bounded-disclosure key rotation
   (Section V-D),
-- :mod:`repro.core.replica` — executing vs storage replica roles
-  (the CP-ITM middleware of Section VI),
+- :mod:`repro.core.replica` — what a data-center replica runs: the
+  replica base (ordering glue, durable storage, recovery) and the storage
+  role; imports nothing below the trust boundary (Section IV-A),
+- :mod:`repro.core.executing` — the executing role: application, client
+  keys, execution, encrypted snapshots (the CP-ITM middleware of
+  Section VI),
+- :mod:`repro.core.response` — threshold-certified responses
+  (Sections V-B, V-C),
+- :mod:`repro.core.shares` — the collect-partials-then-combine state
+  machine introduction and responses share,
 - :mod:`repro.core.proxy` — client proxies,
 - :mod:`repro.core.confidentiality` — plaintext-exposure auditing,
 - :mod:`repro.core.encryption` — per-client key schedules,
@@ -36,7 +44,8 @@ from repro.core.messages import (
     client_alias,
 )
 from repro.core.proxy import ClientProxy
-from repro.core.replica import ExecutingReplica, ReplicaBase, ReplicaEnv, StorageReplica
+from repro.core.executing import ExecutingReplica
+from repro.core.replica import ReplicaBase, ReplicaEnv, StorageReplica
 
 __all__ = [
     "Application",

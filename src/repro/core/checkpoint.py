@@ -35,6 +35,7 @@ from dataclasses import replace as dc_replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.messages import CheckpointDeltaMsg, CheckpointMsg, ResumePoint
+from repro.core.statedelta import diff_state
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.replica import ReplicaBase
@@ -93,37 +94,36 @@ class CheckpointManager:
         replica = self._replica
         if not replica.hosts_application:
             return
+        # Full/delta choice is a pure function of the ordinal, so every
+        # correct up-to-date replica makes the same call without
+        # coordination; the chain digest binds the coordinates anyway.
+        chained = self.delta_interval > 1
+        state = replica.state_doc(delta_friendly=chained)
         message: ChainMsg
-        if self.delta_interval > 1:
-            # Full/delta choice is a pure function of the ordinal, so every
-            # correct up-to-date replica makes the same call without
-            # coordination; the chain digest binds the coordinates anyway.
-            want_full = (ordinal // self.interval) % self.delta_interval == 0
-            if want_full or self._last_state is None:
-                state = replica.build_checkpoint_state()
-                blob = replica.encode_checkpoint_state(state)
-                message = CheckpointMsg(
-                    ordinal=ordinal, resume=resume, blob=blob, signer=replica.host
-                )
-                self._last_state = (ordinal, ordinal, state)
-            else:
-                base_ordinal, full_ordinal, base_state = self._last_state
-                state = replica.build_checkpoint_state()
-                blob = replica.build_delta_blob(base_state, state)
-                message = CheckpointDeltaMsg(
-                    ordinal=ordinal,
-                    base_ordinal=base_ordinal,
-                    full_ordinal=full_ordinal,
-                    resume=resume,
-                    blob=blob,
-                    signer=replica.host,
-                )
-                self._last_state = (ordinal, full_ordinal, state)
-        else:
-            blob = replica.build_checkpoint_blob()
+        if (
+            not chained
+            or self._last_state is None
+            or (ordinal // self.interval) % self.delta_interval == 0
+        ):
+            full_ordinal = ordinal
             message = CheckpointMsg(
-                ordinal=ordinal, resume=resume, blob=blob, signer=replica.host
+                ordinal=ordinal,
+                resume=resume,
+                blob=replica.seal(state, "state-snapshot"),
+                signer=replica.host,
             )
+        else:
+            base_ordinal, full_ordinal, base_state = self._last_state
+            message = CheckpointDeltaMsg(
+                ordinal=ordinal,
+                base_ordinal=base_ordinal,
+                full_ordinal=full_ordinal,
+                resume=resume,
+                blob=replica.seal(diff_state(base_state, state), "state-delta"),
+                signer=replica.host,
+            )
+        if chained:
+            self._last_state = (ordinal, full_ordinal, state)
         size = len(message.blob.data if hasattr(message.blob, "data") else message.blob)
         cost = replica.costs.snapshot(size) + (
             replica.costs.encrypt_blob(size) if replica.confidential else 0.0

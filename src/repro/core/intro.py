@@ -35,14 +35,16 @@ from repro.core.messages import (
     pack_update,
     update_batch_signing_bytes,
 )
+from repro.cache import BoundedLru
+from repro.core.shares import ShareCollector
 from repro.crypto.merkle import merkle_root
-from repro.crypto.threshold import combine_via, combine_with_retry, sign_partial_via
+from repro.crypto.threshold import combine_with_retry, sign_partial_via
 from repro.crypto.verifycache import verify_with
 from repro.errors import SignatureError
 from repro.prime.messages import OpaqueUpdate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.replica import ExecutingReplica
+    from repro.core.executing import ExecutingReplica
 
 IntroKey = Tuple[str, int]  # (alias, client_seq)
 
@@ -80,7 +82,8 @@ class IntroductionManager:
         self._m_failovers = metrics.counter("intro.failovers")
         self._m_batches = metrics.counter("intro.batches")
         self.failover_delay = replica.env.config.failover_delay
-        self._shares: Dict[Tuple[str, int, bytes], Dict[int, object]] = {}
+        # (alias, seq) -> update digest -> signer -> partial.
+        self._shares: Dict[IntroKey, Dict[bytes, Dict[int, object]]] = {}
         self._assembled: Dict[IntroKey, EncryptedUpdate] = {}
         self._plain_pending: Dict[IntroKey, ClientUpdate] = {}
         self._failover_timers: Dict[IntroKey, object] = {}
@@ -91,9 +94,19 @@ class IntroductionManager:
         self._batch_no = 0
         self._batch_buffer: List[EncryptedUpdate] = []
         self._batch_timer: object = None
-        self._pending_batches: Dict[int, dict] = {}
+        # Own proposals awaiting co-signatures, keyed (batch_no, root, count).
+        self._batches = ShareCollector(
+            replica,
+            replica.env.intro_public,
+            pool=replica.env.crypto_pool,
+            window=replica.response_cache_window,
+            counter=self._m_combine,
+            on_combined=self._inject_batch,
+            on_failed=self._batch_combine_failed,
+        )
         self._parked_proposals: List[Tuple[str, BatchProposal]] = []
-        self._acked_batches: Set[Tuple[str, int]] = set()
+        # Recently co-signed (proposer, batch_no).
+        self._acked_batches = BoundedLru(replica.response_cache_window)
         self._echoed: Set[IntroKey] = set()
         self._batch_failover_initiated: Set[IntroKey] = set()
         self._pref_cache: Dict[str, List[str]] = {}
@@ -102,7 +115,7 @@ class IntroductionManager:
 
     def on_client_update(self, update: ClientUpdate) -> None:
         replica = self._replica
-        public = replica.client_registry.get(update.client_id)
+        public = replica.env.client_registry.get(update.client_id)
         if public is None:
             replica.trace("intro.unknown-client", client=update.client_id)
             return
@@ -122,7 +135,7 @@ class IntroductionManager:
         alias = client_alias(update.client_id)
         key = (alias, update.client_seq)
         if replica.is_executed(alias, update.client_seq):
-            replica.resend_response(update.client_id, update.client_seq)
+            replica.responses.resend(update.client_id, update.client_seq)
             return
         if key in self._done or key in self._injected:
             return
@@ -221,27 +234,27 @@ class IntroductionManager:
             replica.intro_share,
             update_batch_signing_bytes(root, len(items)),
         )
-        self._pending_batches[batch_no] = {
-            "root": root,
-            "items": tuple(items),
-            "partials": {partial.signer: partial},
-            "combining": False,
-        }
         proposal = BatchProposal(
             proposer=replica.host, batch_no=batch_no, items=tuple(items)
         )
-        replica.after(replica.costs.threshold_partial, self._send_proposal, proposal)
+        replica.after(
+            replica.costs.threshold_partial, self._send_proposal, proposal, root, partial
+        )
 
-    def _send_proposal(self, proposal: BatchProposal) -> None:
+    def _send_proposal(self, proposal: BatchProposal, root: bytes, partial) -> None:
         replica = self._replica
         if not replica.online:
             return
         for peer in replica.on_premises_peers():
             replica.network_send(peer, proposal)
-        replica.trace(
-            "intro.batch-proposed", batch=proposal.batch_no, count=len(proposal.items)
+        count = len(proposal.items)
+        replica.trace("intro.batch-proposed", batch=proposal.batch_no, count=count)
+        self._batches.submit(
+            (proposal.batch_no, root, count),
+            update_batch_signing_bytes(root, count),
+            proposal.items,
+            partial,
         )
-        self._maybe_combine_batch(proposal.batch_no)
 
     def _defer_failover(self, key: IntroKey, delay: float) -> None:
         """Push back an armed failover timer (never create one): fresh
@@ -306,7 +319,7 @@ class IntroductionManager:
             # the proposal and retry when the ciphertext is assembled.
             self._parked_proposals.append((src, proposal))
             return
-        self._acked_batches.add(ack_key)
+        self._acked_batches.put(ack_key, True)
         root = merkle_root([item.digest() for item in proposal.items])
         self._m_partial.inc()
         partial = sign_partial_via(
@@ -336,53 +349,23 @@ class IntroductionManager:
             self.on_batch_proposal(src, proposal)
 
     def on_batch_share(self, src: str, share: BatchShare) -> None:
-        replica = self._replica
         self._m_shares.inc()
-        pending = self._pending_batches.get(share.batch_no)
-        if pending is None or share.proposer != replica.host:
-            return
-        if share.root != pending["root"] or share.count != len(pending["items"]):
-            return
-        pending["partials"][share.partial.signer] = share.partial
-        self._maybe_combine_batch(share.batch_no)
+        if share.proposer == self._replica.host:
+            # A share over another root or width than we proposed under
+            # this number lands on a round that never opens.
+            self._batches.add((share.batch_no, share.root, share.count), share.partial)
 
-    def _maybe_combine_batch(self, batch_no: int) -> None:
-        replica = self._replica
-        pending = self._pending_batches.get(batch_no)
-        if pending is None or pending["combining"]:
-            return
-        if len(pending["partials"]) < replica.intro_public.threshold:
-            return
-        pending["combining"] = True
-        replica.after(replica.costs.threshold_combine, self._combine_batch, batch_no)
+    def _batch_combine_failed(self, round_key, items) -> None:
+        self._replica.trace("intro.batch-combine-failed", batch=round_key[0])
 
-    def _combine_batch(self, batch_no: int) -> None:
+    def _inject_batch(self, round_key, items, signature: bytes) -> None:
         replica = self._replica
-        pending = self._pending_batches.get(batch_no)
-        if pending is None or not replica.online:
-            return
-        self._m_combine.inc()
-        message = update_batch_signing_bytes(pending["root"], len(pending["items"]))
-        try:
-            signature = combine_via(
-                replica.env.crypto_pool,
-                replica.intro_public,
-                message,
-                list(pending["partials"].values()),
-            )
-        except SignatureError:
-            replica.trace("intro.batch-combine-failed", batch=batch_no)
-            pending["combining"] = False
-            return
-        del self._pending_batches[batch_no]
-        batch = SignedUpdateBatch(
-            root=pending["root"], items=pending["items"], threshold_sig=signature
-        )
+        batch = SignedUpdateBatch(root=round_key[1], items=items, threshold_sig=signature)
         self._m_batches.inc()
         replica.engine.inject(
             OpaqueUpdate(digest=batch.digest(), payload=batch, size=batch.wire_size())
         )
-        for item in pending["items"]:
+        for item in items:
             key = (item.alias, item.client_seq)
             self._injected.add(key)
             self._m_injected.inc()
@@ -403,16 +386,7 @@ class IntroductionManager:
         self._m_failovers.inc()
         replica.trace("intro.failover", alias=key[0], seq=key[1])
         self._batch_failover_initiated.add(key)
-        self._m_partial.inc()
-        partial = sign_partial_via(
-            replica.env.crypto_pool, replica.intro_share, encrypted.signing_bytes()
-        )
-        share = IntroShare(
-            alias=key[0],
-            client_seq=key[1],
-            update_digest=encrypted.digest(),
-            partial=partial,
-        )
+        share = self._sign_share(encrypted, replica.env.crypto_pool)
         replica.after(replica.costs.threshold_partial, self._send_failover_share, share)
 
     def _send_failover_share(self, share: IntroShare) -> None:
@@ -438,30 +412,27 @@ class IntroductionManager:
         if encrypted is None or encrypted.digest() != share.update_digest:
             return
         self._echoed.add(key)
-        self._m_partial.inc()
-        partial = sign_partial_via(
-            replica.env.crypto_pool, replica.intro_share, encrypted.signing_bytes()
-        )
-        echo = IntroShare(
-            alias=key[0],
-            client_seq=key[1],
-            update_digest=share.update_digest,
-            partial=partial,
-        )
+        echo = self._sign_share(encrypted, replica.env.crypto_pool)
         replica.after(replica.costs.threshold_partial, replica.network_send, src, echo)
+
+    def _sign_share(self, encrypted: EncryptedUpdate, pool) -> IntroShare:
+        """This replica's singleton share over ``encrypted``."""
+        self._m_partial.inc()
+        return IntroShare(
+            alias=encrypted.alias,
+            client_seq=encrypted.client_seq,
+            update_digest=encrypted.digest(),
+            partial=sign_partial_via(
+                pool, self._replica.intro_share, encrypted.signing_bytes()
+            ),
+        )
 
     def _share_partial(self, encrypted: EncryptedUpdate) -> None:
         replica = self._replica
         if not replica.online:
             return
-        self._m_partial.inc()
-        partial = replica.intro_share.sign_partial(encrypted.signing_bytes())
-        share = IntroShare(
-            alias=encrypted.alias,
-            client_seq=encrypted.client_seq,
-            update_digest=encrypted.digest(),
-            partial=partial,
-        )
+        # The singleton path signs in-process, pool or not.
+        share = self._sign_share(encrypted, None)
         self._assembled.setdefault((encrypted.alias, encrypted.client_seq), encrypted)
         for peer in replica.on_premises_peers():
             replica.network_send(peer, share)
@@ -480,8 +451,7 @@ class IntroductionManager:
                 key, max(self.introducer_rank(share.alias), 1) * self.failover_delay
             )
             self._maybe_echo_share(src, key, share)
-        vote_key = (share.alias, share.client_seq, share.update_digest)
-        partials = self._shares.setdefault(vote_key, {})
+        partials = self._shares.setdefault(key, {}).setdefault(share.update_digest, {})
         partials[share.partial.signer] = share.partial
         if len(partials) < replica.intro_public.threshold:
             return
@@ -519,8 +489,7 @@ class IntroductionManager:
         encrypted = self._assembled.get(key)
         if encrypted is None:
             return
-        vote_key = (key[0], key[1], encrypted.digest())
-        partials = list(self._shares.get(vote_key, {}).values())
+        partials = list(self._shares.get(key, {}).get(encrypted.digest(), {}).values())
         if len(partials) < replica.intro_public.threshold:
             return
         self._m_combine.inc()
@@ -624,8 +593,7 @@ class IntroductionManager:
         self._injected.discard(key)
         self._echoed.discard(key)
         self._batch_failover_initiated.discard(key)
-        for vote_key in [vk for vk in self._shares if (vk[0], vk[1]) == key]:
-            del self._shares[vote_key]
+        self._shares.pop(key, None)
 
     def drain_awaiting_keys(self, alias: str) -> None:
         """A new key epoch is available: retry parked updates."""

@@ -27,7 +27,7 @@ from repro.errors import KeyScheduleError
 from repro.prime.messages import OpaqueUpdate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.replica import ExecutingReplica
+    from repro.core.executing import ExecutingReplica
 
 RangeKey = Tuple[str, int]  # (alias, range_start)
 
@@ -123,7 +123,7 @@ class KeyRenewalManager:
     def _valid_at_ordering(self, proposal: KeyProposal) -> bool:
         """Logical-time validity (the slack rule) plus schedule contiguity."""
         replica = self._replica
-        if proposal.proposer not in replica.on_premises_replicas():
+        if proposal.proposer not in replica.env.on_premises:
             return False
         if proposal.range_end - proposal.range_start + 1 != self.validity:
             return False

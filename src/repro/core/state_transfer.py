@@ -108,7 +108,7 @@ class StateTransferManager:
             have_seq=have_seq,
             have_ordinal=have_ordinal,
         )
-        for peer in replica.on_premises_replicas():
+        for peer in replica.env.on_premises:
             if peer != replica.host:
                 replica.network_send(peer, solicit)
         if replica.hosts_application:

@@ -1,7 +1,7 @@
 """Deterministic state-snapshot deltas for CompactLab checkpoints.
 
 A checkpoint state document is a JSON-able dict (see
-``ExecutingReplica.build_checkpoint_blob``). Between full snapshots the
+``ExecutingReplica.state_doc``). Between full snapshots the
 checkpoint chain carries *diffs* of consecutive documents instead of the
 whole state, so checkpoint wire/disk bytes track the change rate rather
 than the state size.

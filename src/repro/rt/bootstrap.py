@@ -36,7 +36,8 @@ from repro.core.distribution import DistributionPlan, plan_confidential, plan_sp
 from repro.core.intro import seed_batch_jitter
 from repro.core.messages import client_alias
 from repro.core.proxy import ClientProxy
-from repro.core.replica import ExecutingReplica, ReplicaBase, ReplicaEnv, StorageReplica
+from repro.core.executing import ExecutingReplica
+from repro.core.replica import ReplicaBase, ReplicaEnv, StorageReplica
 from repro.errors import ConfigurationError
 from repro.costs import FREE
 from repro.crypto.keystore import HardwareKeyStore
@@ -69,7 +70,6 @@ class SystemMaterial:
     client_ids: List[str]
     client_keys: Dict[str, RsaKeyPair]
     client_registry: Dict[str, RsaPublicKey]
-    alias_to_client: Dict[str, str]
     initial_client_keys: Dict[str, SymmetricKeyPair]
     proxy_of_client: Dict[str, str]
     keystores: Dict[str, HardwareKeyStore]
@@ -152,11 +152,10 @@ def generate_material(
             )
         local_keys = {cid: client_keys[cid] for cid in client_ids}
         known_keys = client_keys
-    # Replicas verify signatures (and resolve aliases) for every *known*
-    # client — in a sharded deployment that is the global population, so a
-    # cross-shard commit signed by a foreign client's key verifies here.
+    # Replicas verify signatures for every *known* client — in a sharded
+    # deployment that is the global population, so a cross-shard commit
+    # signed by a foreign client's key verifies here.
     client_registry = {cid: kp.public for cid, kp in known_keys.items()}
-    alias_to_client = {client_alias(cid): cid for cid in known_keys}
     initial_client_keys: Dict[str, SymmetricKeyPair] = {
         client_alias(cid): derive_keypair(
             rng.randbytes(f"client-keys.{cid}", 32)
@@ -194,7 +193,6 @@ def generate_material(
         client_ids=client_ids,
         client_keys=local_keys,
         client_registry=client_registry,
-        alias_to_client=alias_to_client,
         initial_client_keys=initial_client_keys,
         proxy_of_client=proxy_of_client,
         keystores=keystores,
@@ -336,9 +334,7 @@ def build_env(
         intro_public=intro_group.public if intro_group else None,
         response_public=material.response_group.public,
         client_registry=material.client_registry,
-        alias_to_client=material.alias_to_client,
         proxy_of_client=material.proxy_of_client,
-        initial_client_keys=material.initial_client_keys,
         metrics=metrics,
         store_factory=store_factory,
         verify_cache=build_verify_cache(config, metrics),
@@ -353,7 +349,8 @@ def build_replica(
     host: str,
     app_factory: Callable[[], Application] = KeyValueApplication,
 ) -> ReplicaBase:
-    """``host``'s replica in its role, holding its key shares."""
+    """``host``'s replica in its role; an executing one is handed its
+    key shares and the client keys, a storage one neither."""
     if host not in material.executing_hosts:
         return StorageReplica(env, host, material.keystores[host])
     share = material.executing_hosts.index(host) + 1
@@ -365,6 +362,7 @@ def build_replica(
         app_factory=app_factory,
         intro_share=intro_group.shares[share] if intro_group else None,
         response_share=material.response_group.shares[share],
+        client_keys=material.initial_client_keys,
     )
 
 

@@ -5,7 +5,7 @@ file's (config, seed), builds the live substrate — a
 :class:`~repro.rt.runtime.LiveScheduler` on its own asyncio loop and a
 :class:`~repro.rt.transport.LiveTransport` on its own TCP port — and then
 instantiates *exactly the same protocol objects the simulation uses*:
-:class:`~repro.core.replica.ExecutingReplica` /
+:class:`~repro.core.executing.ExecutingReplica` /
 :class:`~repro.core.replica.StorageReplica` /
 :class:`~repro.core.proxy.ClientProxy`, unmodified.
 

@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.confidentiality import Sensitive
-from repro.core.messages import ClientUpdate, IntroShare, ResponseShare
-from repro.core.replica import ExecutingReplica, ReplicaBase
+from repro.core.messages import ClientUpdate, IntroShare, ResponseShare, client_alias
+from repro.core.executing import ExecutingReplica
+from repro.core.replica import ReplicaBase
 from repro.crypto.threshold import PartialSignature
 from repro.errors import ConfigurationError, KeyExfiltrationError
 from repro.prime.messages import Heartbeat, PrePrepare
@@ -179,7 +180,7 @@ class Adversary:
     def _plunder(self, replica: ReplicaBase, bag: LootBag) -> None:
         """Steal whatever the compromised host can read."""
         if isinstance(replica, ExecutingReplica):
-            for alias in self.deployment.env.alias_to_client:
+            for alias in map(client_alias, self.deployment.env.client_registry):
                 try:
                     schedule = replica.key_manager.schedule_for(alias)
                 except Exception:

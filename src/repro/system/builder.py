@@ -17,7 +17,8 @@ from repro.core.app import Application, KeyValueApplication
 from repro.core.confidentiality import Auditor
 from repro.core.distribution import DistributionPlan
 from repro.core.proxy import ClientProxy
-from repro.core.replica import ExecutingReplica, ReplicaBase, ReplicaEnv, StorageReplica
+from repro.core.executing import ExecutingReplica
+from repro.core.replica import ReplicaBase, ReplicaEnv, StorageReplica
 from repro.net.attacks import AttackController
 from repro.net.network import Network
 from repro.obs import NULL_METRICS, MetricsRegistry, SpanTracker

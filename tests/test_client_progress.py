@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.replica import ClientProgress
+from repro.core.executing import ClientProgress
 
 
 def test_basic_marking():

@@ -121,8 +121,8 @@ def test_every_knob_is_declared_in_exactly_one_place():
         assert (RtConfig.__dataclass_fields__[name].default
                 != ProtocolConfig.__dataclass_fields__[name].default)
     assert len(_declared(ProtocolConfig)) == 19
-    assert len(_declared(ReplicaEnv)) <= 21
-    assert sum(len(_declared(cls)) for cls in classes) <= 81
+    assert len(_declared(ReplicaEnv)) <= 18
+    assert sum(len(_declared(cls)) for cls in classes) <= 79
 
 
 def test_system_config_projections_carry_every_shared_field():

@@ -32,7 +32,7 @@ def renewal_run():
 
 
 def first_alias(deployment):
-    return sorted(deployment.env.alias_to_client)[0]
+    return sorted(map(client_alias, deployment.env.client_registry))[0]
 
 
 class TestRotation:
@@ -161,7 +161,7 @@ class TestRenewalWithRecovery:
         deployment.start_workload(duration=40.0, interval=0.5)
         deployment.recovery.schedule_recovery("cc-a-r1", 15.0, 4.0)
         deployment.run(until=45.0)
-        alias = sorted(deployment.env.alias_to_client)[0]
+        alias = first_alias(deployment)
         recovered = deployment.replicas["cc-a-r1"]
         live = deployment.replicas["cc-a-r0"]
         assert (

@@ -114,7 +114,7 @@ class TestResponseAuthenticity:
         # once; the cached copy at replicas still verifies.
         replica = conf_run.executing_replicas()[0]
         verified = 0
-        for cache in replica._response_cache.values():
+        for cache in replica.responses.cache.values():
             for response in cache.values():
                 assert conf_run.env.response_public.verify(
                     response.signing_bytes(), response.threshold_sig

@@ -8,7 +8,7 @@ traffic from 4 clients).
 """
 
 from repro.core.messages import EncryptedUpdate, client_alias
-from repro.core.replica import ExecutingReplica, StorageReplica
+from repro.core import ExecutingReplica, StorageReplica
 
 
 class TestClientPath:

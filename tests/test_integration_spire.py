@@ -1,7 +1,7 @@
 """End-to-end tests for the Spire 1.2 baseline, and the comparative
 confidentiality claims of the paper."""
 
-from repro.core.replica import ExecutingReplica
+from repro.core import ExecutingReplica
 
 
 class TestSpireBaseline:

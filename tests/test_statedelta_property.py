@@ -38,7 +38,7 @@ scalars = st.one_of(
 )
 
 #: JSON-able state documents with string keys, nested up to three deep —
-#: the same shape family ``build_checkpoint_state`` produces.
+#: the same shape family ``ExecutingReplica.state_doc`` produces.
 documents = st.recursive(
     st.dictionaries(st.text(max_size=6), scalars, max_size=6),
     lambda children: st.dictionaries(

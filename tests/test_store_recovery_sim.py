@@ -13,6 +13,8 @@ Three contracts:
    detected, never served, and network transfer repairs it.
 """
 
+from dataclasses import replace as dc_replace
+
 import pytest
 
 from repro.faultlab import FaultLabConfig, FaultSchedule, make_event, run_schedule
@@ -129,6 +131,56 @@ class TestDiskRecovery:
         for proxy in durable.proxies.values():
             assert proxy.outstanding == 0
         durable.auditor.assert_clean(set(durable.data_center_hosts))
+
+
+class TestUnusableCheckpoint:
+    """A checkpoint file that passes magic + CRC but whose content does not
+    decrypt degrades to the network path; an exception that is not a
+    decrypt/parse/apply failure is a bug and must surface."""
+
+    EXECUTING = "cc-a-r1"
+
+    @pytest.fixture
+    def crashed(self, tmp_path):
+        deployment = deploy(tmp_path)
+        deployment.start_workload(duration=20.0)
+        deployment.run(until=10.0)
+        replica = deployment.replicas[self.EXECUTING]
+        assert replica.checkpoints.stable is not None
+        replica.go_down()
+        return deployment, replica
+
+    def test_undecryptable_checkpoint_falls_back_to_network(self, crashed):
+        deployment, replica = crashed
+        stable = replica.checkpoints.stable
+        # Same ordinal, so it replaces the genuine file; written through
+        # the store, so the frame verifies.
+        replica.store.save_checkpoint(dc_replace(stable, blob=b"not a ciphertext " * 8))
+        replica.recover()
+        deployment.run(until=24.0)
+        stages = [e.detail.get("stage") for e in deployment.tracer.events
+                  if e.category == "store.corrupted" and e.host == self.EXECUTING]
+        assert stages == ["checkpoint-restore"]
+        assert counter(deployment, "store.corruption_detected", self.EXECUTING) == 1
+        # Nothing of the blob was installed: whatever came back locally is
+        # log replay from genesis (ordinal 0), the rest state transfer.
+        assert all(e.detail["ordinal"] == 0 for e in deployment.tracer.events
+                   if e.category == "store.recovered" and e.host == self.EXECUTING)
+        assert [e for e in deployment.tracer.events
+                if e.category == "xfer.complete" and e.host == self.EXECUTING]
+        live = deployment.replicas["cc-a-r0"]
+        assert replica.executed_ordinal() == live.executed_ordinal()
+        assert replica.app.snapshot() == live.app.snapshot()
+
+    def test_unrelated_restore_failure_propagates(self, crashed):
+        _deployment, replica = crashed
+
+        def boom(checkpoint, deltas):
+            raise RuntimeError("not a damaged-blob error")
+
+        replica.install_chain = boom
+        with pytest.raises(RuntimeError, match="not a damaged-blob error"):
+            replica.recover()
 
 
 def store_schedule(kind, seed=3):

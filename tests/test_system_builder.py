@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.replica import ExecutingReplica, StorageReplica
+from repro.core import ExecutingReplica, StorageReplica
 from repro.errors import ConfigurationError
 from repro.system import Mode, SystemConfig, build
 
