@@ -13,7 +13,7 @@ test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 
 bench-load:
-	$(PYTHON) benchmarks/bench_load.py --quick --check
+	$(PYTHON) -m repro load sweep --quick --check
 
 bench-store:
 	$(PYTHON) benchmarks/bench_store_recovery.py --quick --check

@@ -425,22 +425,21 @@ def _cmd_load(args: argparse.Namespace) -> int:
         result = run_sweep(quick=args.quick, seed=args.seed,
                            profile=args.profile, rates=rates)
         print(_json.dumps(result, indent=2, sort_keys=True))
-        if args.check:
-            baseline = load_results(
-                Path(args.baseline) if args.baseline else None
-            )
-            failures = check_load(result, baseline, tolerance=args.tolerance)
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            if not failures:
-                print("load check passed", file=sys.stderr)
-            return 1 if failures else 0
+        # Read before writing: a full run's default --out is the baseline.
+        baseline = load_results(Path(args.baseline) if args.baseline else None)
         out = Path(args.out) if args.out else None
         if out is None and not args.quick:
             out = REPO_ROOT / DEFAULT_RESULTS_PATH
         if out is not None:
             write_results(result, out)
             print(f"wrote {out}", file=sys.stderr)
+        if args.check:
+            failures = check_load(result, baseline, tolerance=args.tolerance)
+            for failure in failures:
+                print(f"REGRESSION: {failure}", file=sys.stderr)
+            if not failures:
+                print("load check passed", file=sys.stderr)
+            return 1 if failures else 0
         return 0
 
     # scenario

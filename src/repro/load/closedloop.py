@@ -13,16 +13,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.obs.registry import percentile as _percentile
+
 
 def percentile(sorted_values: Sequence[float], p: float) -> float:
-    """Linear-interpolated percentile over an already-sorted sequence."""
-    if not sorted_values:
-        return 0.0
-    rank = (p / 100.0) * (len(sorted_values) - 1)
-    low = int(rank)
-    high = min(low + 1, len(sorted_values) - 1)
-    fraction = rank - low
-    return sorted_values[low] * (1 - fraction) + sorted_values[high] * fraction
+    """:func:`repro.obs.registry.percentile`, reading 0.0 for no samples
+    (a run that completed nothing still prints its report)."""
+    return _percentile(sorted_values, p) if sorted_values else 0.0
 
 
 def latency_stats(latencies: Sequence[float], completed: int, elapsed: float) -> Dict:

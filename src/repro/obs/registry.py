@@ -24,7 +24,7 @@ Histograms are time-windowed: every observation is stored as ``(t, value)``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 LabelsKey = Tuple[Tuple[str, str], ...]
 
@@ -55,15 +55,22 @@ EMPTY_HISTOGRAM_STATS = HistogramStats(
 )
 
 
-def _percentile(sorted_values: List[float], p: float) -> float:
-    if len(sorted_values) == 1:
-        return sorted_values[0]
+def percentile(sorted_values: Sequence[float], p: float) -> float:
+    """Linear-interpolation percentile of pre-sorted values (p in [0, 100]).
+
+    The one percentile of the code base. Interpolating as
+    ``lo + (hi - lo) * fraction`` is exact when the two neighbours are
+    equal (``lo * (1 - fraction) + hi * fraction`` can land one ulp below
+    both, which once made p99 < p50), and the clamp is to the neighbours,
+    so percentiles of one list are monotone in ``p``.
+    """
+    if not sorted_values:
+        raise ValueError("no samples")
     rank = (p / 100.0) * (len(sorted_values) - 1)
     low = int(rank)
-    high = min(low + 1, len(sorted_values) - 1)
-    fraction = rank - low
-    value = sorted_values[low] * (1 - fraction) + sorted_values[high] * fraction
-    return min(max(value, sorted_values[0]), sorted_values[-1])
+    lo = sorted_values[low]
+    hi = sorted_values[min(low + 1, len(sorted_values) - 1)]
+    return min(max(lo + (hi - lo) * (rank - low), lo), hi)
 
 
 class Counter:
@@ -143,9 +150,9 @@ class Histogram:
             total=sum(values),
             minimum=values[0],
             maximum=values[-1],
-            p50=_percentile(values, 50),
-            p99=_percentile(values, 99),
-            p99_9=_percentile(values, 99.9),
+            p50=percentile(values, 50),
+            p99=percentile(values, 99),
+            p99_9=percentile(values, 99.9),
         )
 
 

@@ -11,9 +11,10 @@ series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.proxy import ClientProxy
+from repro.obs.registry import percentile
 
 
 @dataclass(frozen=True)
@@ -73,21 +74,6 @@ EMPTY_STATS = LatencyStats(
     p99=0.0,
     p99_9=0.0,
 )
-
-
-def percentile(sorted_values: Sequence[float], p: float) -> float:
-    """Linear-interpolation percentile of pre-sorted values (p in [0, 100])."""
-    if not sorted_values:
-        raise ValueError("no samples")
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    rank = (p / 100.0) * (len(sorted_values) - 1)
-    low = int(rank)
-    high = min(low + 1, len(sorted_values) - 1)
-    fraction = rank - low
-    interpolated = sorted_values[low] * (1 - fraction) + sorted_values[high] * fraction
-    # Clamp against float rounding so results never escape the sample range.
-    return min(max(interpolated, sorted_values[0]), sorted_values[-1])
 
 
 class LatencyRecorder:

@@ -8,14 +8,23 @@ build their own.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from typing import Dict, List
 
 import pytest
+from hypothesis import settings
 
 from repro.prime import OpaqueUpdate, PrimeConfig, PrimeReplica
 from repro.sim import Kernel, RngRegistry, Tracer
 from repro.system import Mode, SystemConfig, build
+
+# Tier-1 is the same test on every run, so a red run reproduces from its
+# log. CI's one exploratory step sets HYPOTHESIS_PROFILE=explore and passes
+# --hypothesis-seed (printed in the step) to draw fresh examples.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 class PrimeHarness:

@@ -13,7 +13,7 @@ The contract under test (see ``Histogram.stats``):
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.registry import EMPTY_HISTOGRAM_STATS, Histogram, MetricsRegistry
@@ -81,6 +81,10 @@ def test_sample_at_rotation_instant_lands_in_later_window(samples, pivot):
 @given(samples=st.lists(st.tuples(times, values), min_size=1, max_size=60),
        window=st.tuples(times, times).map(sorted))
 @settings(max_examples=200, deadline=None)
+# Equal neighbours: `lo*(1-frac) + hi*frac` landed one ulp below both, so
+# p99 < p50 (tier-1 went red on whichever run drew this).
+@example(samples=[(-1.0, 0.0)] + 3 * [(-1.0, 515394.7892264915)],
+         window=[-1.0, 0.0])
 def test_percentiles_match_reference_over_window(samples, window):
     since, until = window
     hist = make_histogram(samples)
