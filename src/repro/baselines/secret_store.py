@@ -16,7 +16,9 @@ Confidential Spire can, at the cost of trusting the on-premises hosts.
 The replication layer here is deliberately simple (write-to-all,
 ack-quorum of 2f+1; read f+1 matching shares) — enough to measure the
 storage data path, not a full BFT engine; the full engine is what
-:mod:`repro.prime` provides for the main system.
+:mod:`repro.prime` provides for the main system. Its four messages are
+not wire messages of the system (no codec row, never sent live), so each
+send states its size to the network: the key and share bytes it carries.
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ class StoreWrite:
     share: bytes
     request_id: int
 
-    def wire_size(self) -> int:
-        return 64 + len(self.key) + len(self.share)
-
 
 @dataclass(frozen=True)
 class StoreWriteAck:
@@ -48,17 +47,11 @@ class StoreWriteAck:
     version: int
     request_id: int
 
-    def wire_size(self) -> int:
-        return 64 + len(self.key)
-
 
 @dataclass(frozen=True)
 class StoreRead:
     key: str
     request_id: int
-
-    def wire_size(self) -> int:
-        return 64 + len(self.key)
 
 
 @dataclass(frozen=True)
@@ -68,9 +61,6 @@ class StoreReadReply:
     share: Optional[bytes]
     request_id: int
     replica_index: int
-
-    def wire_size(self) -> int:
-        return 64 + len(self.key) + (len(self.share) if self.share else 0)
 
 
 class SecretStoreReplica:
@@ -94,6 +84,7 @@ class SecretStoreReplica:
                 StoreWriteAck(
                     key=message.key, version=message.version, request_id=message.request_id
                 ),
+                size=len(message.key),
             )
         elif isinstance(message, StoreRead):
             stored = self._shares.get(message.key)
@@ -108,6 +99,7 @@ class SecretStoreReplica:
                     request_id=message.request_id,
                     replica_index=self.index,
                 ),
+                size=len(message.key) + len(share or b""),
             )
 
     def stored_share(self, key: str) -> Optional[bytes]:
@@ -164,6 +156,7 @@ class SecretStoreClient:
                 StoreWrite(
                     key=key, version=version, share=shares[index], request_id=request_id
                 ),
+                size=len(key) + len(shares[index]),
             )
         return request_id
 
@@ -173,7 +166,9 @@ class SecretStoreClient:
         self._read_replies[request_id] = {}
         self._read_done[request_id] = on_done
         for replica in self.replicas:
-            self.network.send(self.host, replica, StoreRead(key=key, request_id=request_id))
+            self.network.send(
+                self.host, replica, StoreRead(key=key, request_id=request_id), size=len(key)
+            )
         return request_id
 
     # -- replies -------------------------------------------------------------------

@@ -22,7 +22,11 @@
 - :mod:`repro.core.proxy` — client proxies,
 - :mod:`repro.core.confidentiality` — plaintext-exposure auditing,
 - :mod:`repro.core.encryption` — per-client key schedules,
-- :mod:`repro.core.app` — the deterministic application interface.
+- :mod:`repro.core.app` — the deterministic application interface,
+- :mod:`repro.core.messages` — the CP-ITM message dataclasses. A new
+  message is a dataclass there, a row in ``repro.net.codec._MESSAGES`` and
+  a byte vector (``python -m tests.test_net_codec``), nothing else: both
+  substrates size it by its encoding.
 """
 
 from repro.core.app import Application, KeyValueApplication

@@ -41,7 +41,6 @@ from repro.crypto.merkle import merkle_root
 from repro.crypto.threshold import combine_with_retry, sign_partial_via
 from repro.crypto.verifycache import verify_with
 from repro.errors import SignatureError
-from repro.prime.messages import OpaqueUpdate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executing import ExecutingReplica
@@ -362,9 +361,7 @@ class IntroductionManager:
         replica = self._replica
         batch = SignedUpdateBatch(root=round_key[1], items=items, threshold_sig=signature)
         self._m_batches.inc()
-        replica.engine.inject(
-            OpaqueUpdate(digest=batch.digest(), payload=batch, size=batch.wire_size())
-        )
+        replica.inject(batch)
         for item in items:
             key = (item.alias, item.client_seq)
             self._injected.add(key)
@@ -511,9 +508,7 @@ class IntroductionManager:
         )
         self._injected.add(key)
         self._m_injected.inc()
-        replica.engine.inject(
-            OpaqueUpdate(digest=signed.digest(), payload=signed, size=signed.wire_size())
-        )
+        replica.inject(signed)
         replica.trace("intro.injected", alias=key[0], seq=key[1])
 
     # -- plain (baseline) path ---------------------------------------------------------
@@ -541,9 +536,7 @@ class IntroductionManager:
             return
         self._injected.add(key)
         self._m_injected.inc()
-        self._replica.engine.inject(
-            OpaqueUpdate(digest=update.digest(), payload=update, size=update.wire_size())
-        )
+        self._replica.inject(update)
         # Same span milestone as the confidential path: the update entered
         # Prime here, whatever authenticated it.
         self._replica.trace("intro.injected", alias=key[0], seq=key[1])
@@ -594,6 +587,12 @@ class IntroductionManager:
         self._echoed.discard(key)
         self._batch_failover_initiated.discard(key)
         self._shares.pop(key, None)
+        # An own proposal whose every item got executed through the other
+        # proposer's batch will never collect its co-signatures.
+        done = self._done
+        self._batches.drop_where(
+            lambda items: all((i.alias, i.client_seq) in done for i in items)
+        )
 
     def drain_awaiting_keys(self, alias: str) -> None:
         """A new key epoch is available: retry parked updates."""

@@ -24,7 +24,6 @@ from repro.core.encryption import KeyEpoch
 from repro.core.messages import KeyProposal
 from repro.crypto.symmetric import derive_keypair
 from repro.errors import KeyScheduleError
-from repro.prime.messages import OpaqueUpdate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executing import ExecutingReplica
@@ -87,11 +86,7 @@ class KeyRenewalManager:
             encrypted_seed=encrypted_seed,
         )
         replica.trace("keyrenew.propose", alias=alias, start=range_start)
-        replica.engine.inject(
-            OpaqueUpdate(
-                digest=proposal.digest(), payload=proposal, size=proposal.wire_size()
-            )
-        )
+        replica.inject(proposal)
 
     # -- ordered proposals ------------------------------------------------------------
 

@@ -16,8 +16,6 @@ from repro.core.confidentiality import Sensitive
 from repro.crypto.merkle import MerkleProof
 from repro.crypto.threshold import PartialSignature
 
-_HEADER = 64
-
 
 def client_alias(client_id: str) -> str:
     """Pseudonymous client identifier exposed to data-center replicas.
@@ -48,9 +46,6 @@ class ClientUpdate:
             f"update|{self.client_id}|{self.client_seq}|".encode("utf-8")
             + self.body.data
         )
-
-    def wire_size(self) -> int:
-        return _HEADER + 24 + len(self.body) + len(self.signature)
 
     def sensitive_parts(self) -> List[str]:
         return [self.body.label]
@@ -83,9 +78,6 @@ class EncryptedUpdate:
     def digest(self) -> bytes:
         return hashlib.sha256(self.signing_bytes()).digest()
 
-    def wire_size(self) -> int:
-        return _HEADER + 24 + len(self.ciphertext) + len(self.threshold_sig)
-
 
 @dataclass(frozen=True)
 class IntroShare:
@@ -97,9 +89,6 @@ class IntroShare:
     update_digest: bytes
     partial: PartialSignature
 
-    def wire_size(self) -> int:
-        return _HEADER + 24 + len(self.update_digest) + 192
-
 
 @dataclass(frozen=True)
 class ResponseShare:
@@ -110,9 +99,6 @@ class ResponseShare:
     client_seq: int
     response_digest: bytes
     partial: PartialSignature
-
-    def wire_size(self) -> int:
-        return _HEADER + 24 + len(self.response_digest) + 192
 
 
 @dataclass(frozen=True)
@@ -129,9 +115,6 @@ class ClientResponse:
             f"response|{self.client_id}|{self.client_seq}|".encode("utf-8")
             + self.body.data
         )
-
-    def wire_size(self) -> int:
-        return _HEADER + 24 + len(self.body) + len(self.threshold_sig)
 
     def sensitive_parts(self) -> List[str]:
         return [self.body.label]
@@ -168,9 +151,6 @@ class BatchProposal:
     batch_no: int
     items: Tuple[EncryptedUpdate, ...]
 
-    def wire_size(self) -> int:
-        return _HEADER + 24 + sum(item.wire_size() - _HEADER for item in self.items)
-
 
 @dataclass(frozen=True)
 class BatchShare:
@@ -185,9 +165,6 @@ class BatchShare:
 
     def signing_bytes(self) -> bytes:
         return update_batch_signing_bytes(self.root, self.count)
-
-    def wire_size(self) -> int:
-        return _HEADER + 24 + len(self.root) + 192
 
 
 @dataclass(frozen=True)
@@ -207,15 +184,6 @@ class SignedUpdateBatch:
     def digest(self) -> bytes:
         return hashlib.sha256(self.signing_bytes()).digest()
 
-    def wire_size(self) -> int:
-        return (
-            _HEADER
-            + 24
-            + len(self.root)
-            + len(self.threshold_sig)
-            + sum(item.wire_size() - _HEADER for item in self.items)
-        )
-
 
 @dataclass(frozen=True)
 class ResponseBatchShare:
@@ -228,9 +196,6 @@ class ResponseBatchShare:
 
     def signing_bytes(self) -> bytes:
         return response_batch_signing_bytes(self.root, self.count)
-
-    def wire_size(self) -> int:
-        return _HEADER + 16 + len(self.root) + 192
 
 
 @dataclass(frozen=True)
@@ -265,16 +230,6 @@ class CertifiedResponse:
 
     def batch_signing_bytes(self) -> bytes:
         return response_batch_signing_bytes(self.batch_root, self.batch_count)
-
-    def wire_size(self) -> int:
-        return (
-            _HEADER
-            + 24
-            + len(self.body)
-            + len(self.batch_sig)
-            + len(self.batch_root)
-            + self.proof.wire_size()
-        )
 
     def sensitive_parts(self) -> List[str]:
         return [self.body.label]
@@ -334,9 +289,6 @@ class KeyProposal:
     def digest(self) -> bytes:
         return hashlib.sha256(self.signing_bytes()).digest()
 
-    def wire_size(self) -> int:
-        return _HEADER + 40 + len(self.encrypted_seed)
-
 
 # --------------------------------------------------------------------------
 # Checkpoints and state transfer (Section V-C)
@@ -362,9 +314,6 @@ class ResumePoint:
     def ordered_through_dict(self) -> Dict[str, int]:
         return dict(self.ordered_through)
 
-    def wire_size(self) -> int:
-        return 24 + 16 * len(self.ordered_through)
-
 
 @dataclass(frozen=True)
 class CheckpointMsg:
@@ -386,9 +335,6 @@ class CheckpointMsg:
 
     def blob_digest(self) -> bytes:
         return hashlib.sha256(self.blob_bytes()).digest()
-
-    def wire_size(self) -> int:
-        return _HEADER + 24 + len(self.blob_bytes()) + self.resume.wire_size()
 
     def sensitive_parts(self) -> List[str]:
         if isinstance(self.blob, Sensitive):
@@ -421,9 +367,6 @@ class CheckpointDeltaMsg:
         header = f"ckpt-delta|{self.ordinal}|{self.base_ordinal}|{self.full_ordinal}|"
         return hashlib.sha256(header.encode("utf-8") + self.blob_bytes()).digest()
 
-    def wire_size(self) -> int:
-        return _HEADER + 40 + len(self.blob_bytes()) + self.resume.wire_size()
-
     def sensitive_parts(self) -> List[str]:
         if isinstance(self.blob, Sensitive):
             return [self.blob.label]
@@ -445,9 +388,6 @@ class StateXferSolicit:
     nonce: int
     have_seq: int = 0
     have_ordinal: int = 0
-
-    def wire_size(self) -> int:
-        return _HEADER + 24
 
 
 @dataclass(frozen=True)
@@ -473,9 +413,6 @@ class XferRequest:
     def digest(self) -> bytes:
         return hashlib.sha256(self.signing_bytes()).digest()
 
-    def wire_size(self) -> int:
-        return _HEADER + 24
-
 
 @dataclass(frozen=True)
 class BatchRecord:
@@ -489,11 +426,6 @@ class BatchRecord:
     batch_seq: int
     resume: ResumePoint
     entries: Tuple[Tuple[int, object], ...]
-
-    def wire_size(self) -> int:
-        return 32 + sum(
-            8 + getattr(p, "wire_size", lambda: 256)() for _o, p in self.entries
-        )
 
     def sensitive_parts(self) -> List[str]:
         parts: List[str] = []
@@ -523,14 +455,6 @@ class StateXferResponse:
     part_index: int = 0
     part_count: int = 1
     deltas: Tuple[CheckpointDeltaMsg, ...] = ()
-
-    def wire_size(self) -> int:
-        size = _HEADER + 32
-        if self.checkpoint is not None:
-            size += self.checkpoint.wire_size()
-        size += sum(b.wire_size() for b in self.batches)
-        size += sum(d.wire_size() for d in self.deltas)
-        return size
 
     def sensitive_parts(self) -> List[str]:
         parts: List[str] = []

@@ -51,6 +51,7 @@ from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.threshold import ThresholdPublicKey
 from repro.crypto.verifycache import verify_with
 from repro.errors import CryptoError, ProtocolError
+from repro.net.codec import encoded_size
 from repro.obs.registry import NULL_METRICS
 from repro.prime.config import PrimeConfig
 from repro.prime.engine import PrimeReplica
@@ -300,6 +301,14 @@ class ReplicaBase:
             if message is None:
                 return
         self.env.network.send(self.host, dst, message)
+
+    def inject(self, payload) -> None:
+        """Hand ``payload`` to Prime for ordering, sized as its encoding."""
+        self.engine.inject(
+            OpaqueUpdate(
+                digest=payload.digest(), payload=payload, size=encoded_size(payload)
+            )
+        )
 
     def _multicast_replicas(self, message: object) -> None:
         for dst in self.env.all_replicas:

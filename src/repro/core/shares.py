@@ -84,6 +84,14 @@ class ShareCollector:
             self._idle.put(key, early)
         early[partial.signer] = partial
 
+    def drop_where(self, finished: Callable[[Any], bool]) -> None:
+        """Close every open round whose payload ``finished`` accepts: what
+        it was collecting for has been certified some other way, so it is
+        remembered like a certified round and later partials are dropped."""
+        for key in [k for k, r in self._open.items() if finished(r.payload)]:
+            del self._open[key]
+            self._idle.put(key, None)
+
     def _collect(self, key: Hashable, round_: _Round, partial: PartialSignature) -> None:
         round_.partials[partial.signer] = partial
         if not round_.combining and len(round_.partials) >= self._public.threshold:

@@ -38,7 +38,7 @@ from repro.core.messages import (
     StateXferSolicit,
     XferRequest,
 )
-from repro.prime.messages import OpaqueUpdate
+from repro.net.codec import encoded_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.replica import ReplicaBase
@@ -156,9 +156,7 @@ class StateTransferManager:
         request = XferRequest(
             requester=key[0], nonce=key[1], have_seq=have_seq, have_ordinal=have_ordinal
         )
-        self._replica.engine.inject(
-            OpaqueUpdate(digest=request.digest(), payload=request, size=request.wire_size())
-        )
+        self._replica.inject(request)
 
     def on_ordered_request(self, request: XferRequest) -> None:
         """The transfer request reached the global order: serve it."""
@@ -191,7 +189,7 @@ class StateTransferManager:
         after_seq = max(after_seq, request.have_seq)
         batches = replica.update_log_after(after_seq)
         self._m_served.inc()
-        self._m_bytes_served.inc(sum(record.wire_size() for record in batches))
+        self._m_bytes_served.inc(sum(map(encoded_size, batches)))
         chunk_bytes = replica.env.config.xfer_chunk_bytes
         if not chunk_bytes:
             response = StateXferResponse(
@@ -218,7 +216,7 @@ class StateTransferManager:
         chunks: List[List[BatchRecord]] = [[]]
         budget = chunk_bytes
         for record in batches:
-            size = record.wire_size()
+            size = encoded_size(record)
             if chunks[-1] and size > budget:
                 chunks.append([])
                 budget = chunk_bytes
@@ -253,7 +251,7 @@ class StateTransferManager:
             return
         # Counted per part, pre-reassembly: this is what actually crossed
         # the wire, the quantity disk recovery exists to shrink.
-        self._m_bytes_received.inc(response.wire_size())
+        self._m_bytes_received.inc(encoded_size(response))
         if response.part_count > 1:
             response = self._reassemble(response)
             if response is None:

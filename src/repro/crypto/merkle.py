@@ -67,9 +67,6 @@ class MerkleProof:
     leaf_index: int
     path: Tuple[Tuple[bytes, bool], ...]
 
-    def wire_size(self) -> int:
-        return 8 + sum(33 for _ in self.path)
-
 
 def merkle_proof(leaves: Sequence[bytes], index: int) -> MerkleProof:
     """Inclusion proof for ``leaves[index]`` against ``merkle_root(leaves)``."""

@@ -13,8 +13,11 @@ payload objects between named hosts with:
 - silent drops when the overlay has no route (isolated site) or the
   destination host is down.
 
-Payloads are ordinary Python objects; if a payload defines ``wire_size()``
-it is used for serialization cost, otherwise a default size applies.
+Payloads are the protocol's message objects, billed at the length of
+their :mod:`repro.net.codec` encoding — the bytes the live transport
+ships — unless the sender passes an explicit ``size``. A payload the
+codec cannot encode and that carries no ``size`` raises ``ProtocolError``:
+it could never go live.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cache import BoundedLru, FrameCache
 from repro.errors import ConfigurationError
+from repro.net.codec import encoded_size
 from repro.net.overlay import Overlay
 from repro.net.topology import Topology
 from repro.obs.registry import MetricsRegistry, NULL_METRICS
@@ -32,7 +36,6 @@ from repro.sim.trace import Tracer
 
 Handler = Callable[[str, Any], None]
 
-DEFAULT_MESSAGE_SIZE = 256          # bytes, when payload declares nothing
 # Instrument-handle maps are keyed by message type name (plus drop
 # reason); the live set is small, the bound only guards FaultLab sweeps
 # that register many dynamic types.
@@ -71,10 +74,10 @@ class Network:
         self._send_instruments: BoundedLru = BoundedLru(_INSTRUMENT_CAPACITY)
         self._recv_instruments: BoundedLru = BoundedLru(_INSTRUMENT_CAPACITY)
         self._drop_counters: BoundedLru = BoundedLru(_INSTRUMENT_CAPACITY)
-        # Identity-keyed wire_size memo: a broadcast fan-out (or a
-        # retransmit of the same stored message object) computes the size
-        # estimate once instead of once per destination. Sizes are a pure
-        # function of the message, so traces are unchanged.
+        # Identity-keyed size memo: a broadcast fan-out (or a retransmit
+        # of the same stored message object) looks its encoded size up
+        # once instead of once per destination. Sizes are a pure function
+        # of the message, so traces are unchanged.
         self.frame_cache_enabled = frame_cache_enabled
         self._frame_cache = FrameCache(
             frame_cache_capacity,
@@ -198,10 +201,10 @@ class Network:
         counter.inc()
 
     def _cached_size(self, payload: Any) -> int:
-        """``_payload_size`` memoized on payload identity (when enabled)."""
+        """``encoded_size`` memoized on payload identity (when enabled)."""
         if not self.frame_cache_enabled:
-            return _payload_size(payload)
-        return self._frame_cache.get_or_build(payload, _payload_size)
+            return encoded_size(payload)
+        return self._frame_cache.get_or_build(payload, encoded_size)
 
     # -- sending ------------------------------------------------------------------
 
@@ -271,8 +274,8 @@ class Network:
     def multicast(self, src: str, dsts, payload: Any, size: Optional[int] = None) -> None:
         """Send the same payload to every host in ``dsts`` (excluding src).
 
-        The payload's size estimate is computed once for the whole fan-out
-        (it is a pure function of the immutable message, so per-destination
+        The payload's size is looked up once for the whole fan-out (it is
+        a pure function of the immutable message, so per-destination
         behavior is byte-identical to computing it per send).
         """
         if size is None and self.frame_cache_enabled:
@@ -312,17 +315,3 @@ class Network:
             self.inspector(dst, payload)
         handler(src, payload)
 
-
-#: Payload types that hit the DEFAULT_MESSAGE_SIZE fallback, with a count of
-#: how often. A message type in here is lying about its bandwidth footprint;
-#: tests assert the map stays empty after an integration run.
-FALLBACK_SIZES: Dict[str, int] = {}
-
-
-def _payload_size(payload: Any) -> int:
-    wire_size = getattr(payload, "wire_size", None)
-    if callable(wire_size):
-        return int(wire_size())
-    name = type(payload).__name__
-    FALLBACK_SIZES[name] = FALLBACK_SIZES.get(name, 0) + 1
-    return DEFAULT_MESSAGE_SIZE

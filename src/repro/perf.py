@@ -54,6 +54,7 @@ def _broadcast_messages(count: int) -> List[Any]:
     """Distinct messages shaped like the ordering hot path's traffic:
     po-requests carrying encrypted updates, acks, arus, and votes."""
     from repro.core.messages import EncryptedUpdate
+    from repro.net.codec import encoded_size
     from repro.prime.messages import Commit, OpaqueUpdate, PoAck, PoAru, PoRequest, Prepare
 
     messages: List[Any] = []
@@ -67,7 +68,7 @@ def _broadcast_messages(count: int) -> List[Any]:
         opaque = OpaqueUpdate(
             digest=hashlib.sha256(update.ciphertext).digest(),
             payload=update,
-            size=update.wire_size(),
+            size=encoded_size(update),
         )
         messages.append(PoRequest(origin=f"r{i % 7}#0", seq=i + 1, update=opaque))
         messages.append(PoAck(origin=f"r{i % 7}#0", seq=i + 1, digest=opaque.digest))

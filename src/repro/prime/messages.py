@@ -1,9 +1,9 @@
 """Prime protocol messages.
 
-All messages are immutable dataclasses. ``wire_size()`` returns the
-approximate serialized size in bytes, which the network layer uses for
-bandwidth/queueing; the estimates follow the C Spire message layouts
-(headers + fixed fields + payload lengths).
+All messages are immutable dataclasses. Their size on either substrate
+is the length of their :mod:`repro.net.codec` encoding: the simulated
+network bills bandwidth and queueing from ``encoded_size``, the live
+transport ships those bytes.
 
 Authentication model: as in deployed BFT systems, replica-to-replica
 channels are authenticated (Spire uses per-link keys); the simulation's
@@ -24,8 +24,6 @@ from typing import Mapping, Optional, Tuple
 # "r3#1", which keeps pre-ordering sequence spaces from colliding.
 OriginId = str
 
-_HEADER = 64  # common message header estimate (type, sender, view, auth tag)
-
 
 @dataclass(frozen=True)
 class OpaqueUpdate:
@@ -33,7 +31,8 @@ class OpaqueUpdate:
 
     In Confidential Spire the payload is an encrypted, threshold-signed
     client update; in the Spire baseline it is a plaintext signed update.
-    ``digest`` identifies the update for deduplication and acks.
+    ``digest`` identifies the update for deduplication and acks; ``size``
+    is the length of the payload's codec encoding.
     """
 
     digest: bytes
@@ -44,9 +43,6 @@ class OpaqueUpdate:
     # update. Excluded from equality/repr: it is derived data.
     encoded: Optional[bytes] = field(default=None, compare=False, repr=False)
 
-    def wire_size(self) -> int:
-        return self.size
-
 
 @dataclass(frozen=True)
 class PoRequest:
@@ -56,9 +52,6 @@ class PoRequest:
     seq: int
     update: OpaqueUpdate
 
-    def wire_size(self) -> int:
-        return _HEADER + 16 + self.update.size
-
 
 @dataclass(frozen=True)
 class PoAck:
@@ -67,9 +60,6 @@ class PoAck:
     origin: OriginId
     seq: int
     digest: bytes
-
-    def wire_size(self) -> int:
-        return _HEADER + 16 + len(self.digest)
 
 
 @dataclass(frozen=True)
@@ -81,9 +71,6 @@ class PoAru:
     """
 
     vector: Mapping[OriginId, int]
-
-    def wire_size(self) -> int:
-        return _HEADER + 16 * max(1, len(self.vector))
 
 
 @dataclass(frozen=True)
@@ -98,9 +85,6 @@ class PrePrepare:
     seq: int
     cutoffs: Mapping[OriginId, int]
 
-    def wire_size(self) -> int:
-        return _HEADER + 24 + 16 * max(1, len(self.cutoffs))
-
     def content_key(self) -> Tuple[int, Tuple[Tuple[OriginId, int], ...]]:
         """Hashable identity of the proposal content (excludes view)."""
         return (self.seq, tuple(sorted(self.cutoffs.items())))
@@ -114,9 +98,6 @@ class Prepare:
     seq: int
     content_digest: bytes
 
-    def wire_size(self) -> int:
-        return _HEADER + 24 + len(self.content_digest)
-
 
 @dataclass(frozen=True)
 class Commit:
@@ -125,9 +106,6 @@ class Commit:
     view: int
     seq: int
     content_digest: bytes
-
-    def wire_size(self) -> int:
-        return _HEADER + 24 + len(self.content_digest)
 
 
 @dataclass(frozen=True)
@@ -140,18 +118,12 @@ class Heartbeat:
 
     view: int
 
-    def wire_size(self) -> int:
-        return _HEADER + 8
-
 
 @dataclass(frozen=True)
 class Suspect:
     """Vote to replace the current leader by moving to ``target_view``."""
 
     target_view: int
-
-    def wire_size(self) -> int:
-        return _HEADER + 8
 
 
 @dataclass(frozen=True)
@@ -162,9 +134,6 @@ class PreparedCert:
     seq: int
     cutoffs: Mapping[OriginId, int]
 
-    def wire_size(self) -> int:
-        return 24 + 16 * max(1, len(self.cutoffs))
-
 
 @dataclass(frozen=True)
 class VcState:
@@ -174,9 +143,6 @@ class VcState:
     last_committed: int
     prepared: Tuple[PreparedCert, ...] = ()
 
-    def wire_size(self) -> int:
-        return _HEADER + 16 + sum(c.wire_size() for c in self.prepared)
-
 
 @dataclass(frozen=True)
 class NewView:
@@ -185,9 +151,6 @@ class NewView:
     view: int
     start_seq: int
     adopted: Tuple[PreparedCert, ...] = ()
-
-    def wire_size(self) -> int:
-        return _HEADER + 16 + sum(c.wire_size() for c in self.adopted)
 
 
 @dataclass(frozen=True)
@@ -200,9 +163,6 @@ class BatchFetch:
     """
 
     seqs: Tuple[int, ...]
-
-    def wire_size(self) -> int:
-        return _HEADER + 8 * max(1, len(self.seqs))
 
 
 @dataclass(frozen=True)
@@ -217,9 +177,6 @@ class BatchFetchReply:
     seq: int
     cutoffs: Mapping[OriginId, int]
 
-    def wire_size(self) -> int:
-        return _HEADER + 16 + 16 * max(1, len(self.cutoffs))
-
 
 @dataclass(frozen=True)
 class PoFetch:
@@ -228,15 +185,9 @@ class PoFetch:
     origin: OriginId
     seq: int
 
-    def wire_size(self) -> int:
-        return _HEADER + 16
-
 
 @dataclass(frozen=True)
 class PoFetchReply:
     """Retransmission of a stored po-request."""
 
     request: PoRequest
-
-    def wire_size(self) -> int:
-        return _HEADER + self.request.wire_size()

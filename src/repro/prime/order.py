@@ -76,8 +76,9 @@ class GlobalOrder:
         # Batch-fill reconciliation state: seq -> content digest -> voters.
         self._fill_votes: Dict[int, Dict[bytes, Dict[str, Dict[OriginId, int]]]] = {}
         self._fill_timer = None
-        # When execution first stalled on missing po-requests for a
-        # committed batch (None while execution is advancing).
+        # When execution first stalled below the committed horizon, on a
+        # batch that never committed here or on missing po-requests for
+        # one that did (None while execution is advancing).
         self._blocked_since = None
         # Leader-side proposal state.
         self.propose_seq = 0
@@ -272,17 +273,21 @@ class GlobalOrder:
         — the signature of a replica that missed traffic and needs a
         state transfer. Two shapes qualify: the next batch never
         committed here while much later ones did (ordering messages
-        lost), or the next batch is committed but its po-requests have
-        been unfetchable for so long that peers must have pruned them.
-        A merely-backlogged replica is NOT gapped: po-fetches repair a
-        committed backlog in-band within a round trip, and escalating it
-        to state transfer would skip response generation for the batches
-        jumped over."""
+        lost), or execution has waited on the next batch — its content
+        (batch fetch) or its po-requests (po-fetch) — for so long that
+        peers must have pruned what it asks for. The second shape is
+        what un-strands a replica that lost one of the last batches
+        before the system went idle: the horizon never gets three ahead,
+        and peers that reached checkpoint stability since no longer
+        attest the batch. A merely-backlogged replica is NOT gapped:
+        fetches repair a backlog in-band within a round trip, and
+        escalating it to state transfer would skip response generation
+        for the batches jumped over."""
         if not self.committed:
             return False
         next_seq = self.last_executed + 1
-        if next_seq not in self.committed:
-            return max(self.committed) >= next_seq + 3
+        if next_seq not in self.committed and max(self.committed) >= next_seq + 3:
+            return True
         return (
             self._blocked_since is not None
             and self._engine.kernel.now - self._blocked_since
@@ -294,7 +299,10 @@ class GlobalOrder:
             next_seq = self.last_executed + 1
             cutoffs = self.committed.get(next_seq)
             if cutoffs is None:
-                self._blocked_since = None
+                if not self.committed:
+                    self._blocked_since = None
+                elif self._blocked_since is None:
+                    self._blocked_since = self._engine.kernel.now
                 if self.execution_gap():
                     self._engine.note_lagging(max(self.committed))
                 return

@@ -29,7 +29,6 @@ from typing import List, Tuple
 
 from repro.core.confidentiality import Sensitive
 
-_HEADER = 64
 
 #: Body prefixes marking shard-protocol payloads inside ordinary client
 #: updates. The cross-shard path deliberately rides the existing pipeline
@@ -50,9 +49,6 @@ class ShardMapAnnounce:
     seed: int
     shards: int
     version: int
-
-    def wire_size(self) -> int:
-        return _HEADER + 24
 
 
 @dataclass(frozen=True)
@@ -85,9 +81,6 @@ class CrossShardIntent:
     def tag(self) -> Tuple[str, int, int]:
         """Total order over intents for the last-writer-wins tiebreak."""
         return (self.client_id, self.client_seq, self.home_shard)
-
-    def wire_size(self) -> int:
-        return _HEADER + 32 + 4 * len(self.targets) + len(self.body)
 
     def sensitive_parts(self) -> List[str]:
         return [self.body.label]
@@ -129,17 +122,6 @@ class CrossShardPrepare:
     def leaf(self) -> bytes:
         return hashlib.sha256(self.response_signing_bytes()).digest()
 
-    def wire_size(self) -> int:
-        proof_size = self.proof.wire_size() if self.proof is not None else 0
-        return (
-            _HEADER
-            + 32
-            + len(self.intent_digest)
-            + len(self.cert_sig)
-            + len(self.batch_root)
-            + proof_size
-        )
-
 
 @dataclass(frozen=True)
 class CrossShardCommit:
@@ -147,13 +129,6 @@ class CrossShardCommit:
 
     intent: CrossShardIntent
     prepare: CrossShardPrepare
-
-    def wire_size(self) -> int:
-        return (
-            _HEADER
-            + (self.intent.wire_size() - _HEADER)
-            + (self.prepare.wire_size() - _HEADER)
-        )
 
     def sensitive_parts(self) -> List[str]:
         return self.intent.sensitive_parts()

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.messages import BatchRecord, CheckpointDeltaMsg, CheckpointMsg
+from repro.net.codec import encoded_size
 from repro.obs.registry import NULL_METRICS
 from repro.store.base import DurableStore, StoreLoad
 
@@ -48,18 +49,19 @@ class MemoryStore(DurableStore):
     def append(self, record: BatchRecord) -> int:
         self.records[record.batch_seq] = record
         self._m_append.inc()
-        return record.wire_size()
+        return encoded_size(record)
 
     def save_checkpoint(self, message: CheckpointMsg) -> int:
         self.checkpoints[message.ordinal] = message
         self._m_ckpt.inc()
-        return message.wire_size()
+        return encoded_size(message)
 
     def save_delta(self, message: CheckpointDeltaMsg) -> int:
         self.deltas[message.ordinal] = message
         self._m_delta_saved.inc()
-        self._m_delta_bytes.inc(message.wire_size())
-        return message.wire_size()
+        size = encoded_size(message)
+        self._m_delta_bytes.inc(size)
+        return size
 
     def gc(self, stable_ordinal: int, stable_seq: int) -> None:
         for seq in [s for s in self.records if s < stable_seq]:

@@ -15,6 +15,7 @@ from repro.core.messages import (
     pack_update,
     unpack_update,
 )
+from repro.net.codec import encoded_size
 
 
 class TestClientAlias:
@@ -102,7 +103,7 @@ class TestWireSizes:
     def test_sizes_scale_with_content(self):
         small = ClientUpdate("c", 1, Sensitive(b"x"))
         big = ClientUpdate("c", 1, Sensitive(b"x" * 1000))
-        assert big.wire_size() > small.wire_size() + 900
+        assert encoded_size(big) > encoded_size(small) + 900
 
     def test_all_messages_have_positive_size(self):
         resume = ResumePoint(batch_seq=1, ordinal=10, ordered_through=())
@@ -113,4 +114,4 @@ class TestWireSizes:
             KeyProposal("al", 1, 100, "r1", b"seed"),
             CheckpointMsg(10, resume, b"blob", "r1"),
         ]
-        assert all(m.wire_size() > 0 for m in messages)
+        assert all(encoded_size(m) > 0 for m in messages)

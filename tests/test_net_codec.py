@@ -225,7 +225,7 @@ CPITM_MESSAGES = [
 
 
 # Samples that exist for the byte vectors only (other test modules import
-# the two lists above and pin wire_size() bands on them): the remaining
+# the two lists above as their parametrize sets): the remaining
 # ``optional`` arms and the deepest nestings the protocol produces.
 SAMPLE_SIGNED_BATCH = SignedUpdateBatch(root=b"\x22" * 32, items=(SAMPLE_ENCRYPTED, EncryptedUpdate(alias="ef01" * 4, client_seq=2, ciphertext=b"\x23" * 48)), threshold_sig=b"\x24" * 48)
 SAMPLE_DELTA = CheckpointDeltaMsg(ordinal=125, base_ordinal=100, full_ordinal=100, resume=SAMPLE_RESUME, blob=b"\x25" * 48, signer="dc-2-r0")
@@ -353,16 +353,6 @@ def test_encoded_size_tracks_payload():
     small = EncryptedUpdate(alias="a", client_seq=1, ciphertext=b"x" * 10)
     large = EncryptedUpdate(alias="a", client_seq=1, ciphertext=b"x" * 1000)
     assert encoded_size(large) - encoded_size(small) in range(988, 996)
-
-
-def test_wire_size_estimates_are_same_magnitude():
-    # The protocol layer's fast estimates should be within 3x of the real
-    # encoding for typical messages (they include header allowances).
-    for message in PRIME_MESSAGES + CPITM_MESSAGES:
-        estimate = message.wire_size()
-        actual = encoded_size(message)
-        assert estimate >= actual / 3, type(message).__name__
-        assert estimate <= max(actual * 4, actual + 256), type(message).__name__
 
 
 @given(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.net import AttackController, AttackEvent, Network, Overlay, east_coast_topology
 from repro.net.topology import CLIENT_SITE, CONTROL_CENTER_A, CONTROL_CENTER_B
 from repro.sim import Kernel, RngRegistry, Tracer
@@ -32,7 +32,7 @@ def test_delivery_with_wan_latency(world):
     kernel, _topo, _overlay, network, _tracer = world
     inbox = collect(network, "b1")
     network.register("a1", lambda *a: None)
-    network.send("a1", "b1", "hello")
+    network.send("a1", "b1", "hello", size=256)
     kernel.run()
     assert inbox == [("a1", "hello")]
     # One-way cc-a -> cc-b is 8.5 ms plus jitter and serialization.
@@ -43,7 +43,7 @@ def test_lan_delivery_is_fast(world):
     kernel, _t, _o, network, _tr = world
     inbox = collect(network, "a2")
     network.register("a1", lambda *a: None)
-    network.send("a1", "a2", "hi")
+    network.send("a1", "a2", "hi", size=256)
     kernel.run()
     assert inbox
     assert kernel.now < 0.001
@@ -60,7 +60,7 @@ def test_multicast_excludes_sender(world):
     a1 = collect(network, "a1")
     a2 = collect(network, "a2")
     b1 = collect(network, "b1")
-    network.multicast("a1", ["a1", "a2", "b1"], "fanout")
+    network.multicast("a1", ["a1", "a2", "b1"], "fanout", size=256)
     kernel.run()
     assert a1 == []
     assert len(a2) == 1 and len(b1) == 1
@@ -71,7 +71,7 @@ def test_drop_when_destination_down(world):
     inbox = collect(network, "b1")
     network.register("a1", lambda *a: None)
     network.set_host_down("b1", True)
-    network.send("a1", "b1", "lost")
+    network.send("a1", "b1", "lost", size=256)
     kernel.run()
     assert inbox == []
     assert network.messages_dropped == 1
@@ -82,7 +82,7 @@ def test_drop_when_site_isolated(world):
     inbox = collect(network, "b1")
     network.register("a1", lambda *a: None)
     overlay.isolate_site(CONTROL_CENTER_B)
-    assert network.send("a1", "b1", "lost") is False
+    assert network.send("a1", "b1", "lost", size=256) is False
     kernel.run()
     assert inbox == []
     assert any(e.detail.get("reason") == "no-route" for e in tracer.select("net.drop"))
@@ -93,7 +93,7 @@ def test_lan_still_works_inside_isolated_site(world):
     inbox = collect(network, "a2")
     network.register("a1", lambda *a: None)
     overlay.isolate_site(CONTROL_CENTER_A)
-    network.send("a1", "a2", "local")
+    network.send("a1", "a2", "local", size=256)
     kernel.run()
     assert inbox == [("a1", "local")]
 
@@ -102,7 +102,7 @@ def test_in_flight_message_killed_by_partition(world):
     kernel, _t, overlay, network, _tr = world
     inbox = collect(network, "b1")
     network.register("a1", lambda *a: None)
-    network.send("a1", "b1", "doomed")
+    network.send("a1", "b1", "doomed", size=256)
     kernel.call_later(0.001, overlay.isolate_site, CONTROL_CENTER_B)
     kernel.run()
     assert inbox == []
@@ -120,25 +120,19 @@ def test_serialization_delay_queues_large_messages(world):
     assert kernel.now > 0.8
 
 
-def test_payload_wire_size_used(world):
-    kernel, _t, _o, network, _tr = world
-
-    class Sized:
-        def wire_size(self):
-            return 2_500_000
-
-    collect(network, "b1")
-    network.register("a1", lambda *a: None)
-    network.send("a1", "b1", Sized())
-    kernel.run()
-    assert network.bytes_sent == 2_500_000
+def test_unregistered_payload_without_a_size_is_an_error(world):
+    # Registered messages are billed their codec bytes (every type:
+    # tests/test_perf_hotpath.py); anything else must state its size.
+    _k, _t, _o, network, _tr = world
+    with pytest.raises(ProtocolError):
+        network.send("a1", "b1", object())
 
 
 def test_counters(world):
     kernel, _t, _o, network, _tr = world
     collect(network, "b1")
     network.register("a1", lambda *a: None)
-    network.send("a1", "b1", "one")
+    network.send("a1", "b1", "one", size=256)
     kernel.run()
     assert network.messages_sent == 1
     assert network.messages_delivered == 1
@@ -154,7 +148,7 @@ def test_isolated_site_drop_is_silent_for_protocol_code(world):
     overlay.isolate_site(CONTROL_CENTER_B)
     before = network.messages_dropped
     for _ in range(3):
-        network.send("a1", "b1", "swallowed")
+        network.send("a1", "b1", "swallowed", size=256)
     kernel.run(until=1.0)
     assert inbox == []
     assert network.messages_dropped == before + 3
@@ -171,9 +165,9 @@ def test_reconnect_does_not_resurrect_dropped_messages(world):
     inbox = collect(network, "b1")
     network.register("a1", lambda *a: None)
     overlay.isolate_site(CONTROL_CENTER_B)
-    network.send("a1", "b1", "lost-forever")
+    network.send("a1", "b1", "lost-forever", size=256)
     overlay.reconnect_site(CONTROL_CENTER_B)
-    network.send("a1", "b1", "after-reconnect")
+    network.send("a1", "b1", "after-reconnect", size=256)
     kernel.run()
     assert [p for _s, p in inbox] == ["after-reconnect"]
 
@@ -229,9 +223,9 @@ def test_wan_loss_window_drops_then_restores(world):
     inbox = collect(network, "b1")
     network.register("a1", lambda *a: None)
     network.set_wan_loss(1.0)
-    network.send("a1", "b1", "doomed")
+    network.send("a1", "b1", "doomed", size=256)
     network.set_wan_loss(0.0)
-    network.send("a1", "b1", "survives")
+    network.send("a1", "b1", "survives", size=256)
     kernel.run()
     assert [p for _s, p in inbox] == ["survives"]
     assert any(e.detail["reason"] == "loss" for e in tracer.select("net.drop"))
@@ -244,7 +238,7 @@ def test_delivery_skew_delays_arrivals_into_site(world):
     inbox = collect(network, "b1")
     network.register("a1", lambda *a: None)
     network.set_delivery_skew(CONTROL_CENTER_B, 0.5)
-    network.send("a1", "b1", "late")
+    network.send("a1", "b1", "late", size=256)
     kernel.run()
     assert inbox == [("a1", "late")]
     assert kernel.now >= 0.5 + 0.0085
@@ -266,7 +260,7 @@ def test_degraded_site_slows_but_does_not_sever(world):
     network.register("a1", lambda *a: None)
     network.degrade_site(CONTROL_CENTER_B, bandwidth_divisor=10.0,
                          added_latency=0.050, loss_probability=0.0)
-    network.send("a1", "b1", "slow")
+    network.send("a1", "b1", "slow", size=256)
     kernel.run()
     assert inbox == [("a1", "slow")]
     assert kernel.now >= 0.0085 + 0.050

@@ -4,10 +4,8 @@ Three families of guarantees:
 
 - **encode-once**: cached bytes are the exact bytes a fresh encode
   produces, for every registered message type and for generated inputs;
-- **size honesty**: ``wire_size()`` estimates stay inside documented
-  per-type bands relative to the true encoding, and the *marginal* cost
-  per payload byte tracks the codec within 10% (the fixed header
-  allowance is documented, drift in the variable part is not);
+- **one size model**: the simulated network bills every registered
+  message exactly the bytes the codec ships (docs/PERFORMANCE.md);
 - **trace identity**: a seeded f=1 deployment produces byte-identical
   traces and latency records with every hot-path cache on or off.
 """
@@ -17,13 +15,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.messages import EncryptedUpdate
-from repro.net import codec
+from repro.net import Network, Overlay, codec, east_coast_topology
+from repro.net.topology import CONTROL_CENTER_A, CONTROL_CENTER_B
 from repro.net.codec import encode_message, encoded_size, registered_types
 from repro.prime.messages import OpaqueUpdate, PoRequest
+from repro.sim import Kernel, RngRegistry
 
 from tests.test_net_codec import CPITM_MESSAGES, PRIME_MESSAGES
 
 ALL_SAMPLES = PRIME_MESSAGES + CPITM_MESSAGES
+
+# Parametrize ids, one per sample, the same on every run (they used to be
+# ``id(message) % 97``, which named each case differently per process and
+# made ``-k`` / ``--lf`` useless). The suffixes are those of one recorded
+# run, so test inventories taken before this table still match.
+SAMPLE_IDS = """
+PoRequest-94 PoAck-30 PoAru-63 PrePrepare-67 Prepare-3 Commit-5 Heartbeat-38
+Suspect-71 VcState-77 NewView-69 PoFetch-96 PoFetchReply-1 BatchFetch-34
+BatchFetch-39 BatchFetchReply-72 ClientUpdate-50 EncryptedUpdate-59
+IntroShare-41 ResponseShare-10 ClientResponse-76 KeyProposal-83
+CheckpointMsg-12 CheckpointMsg-49 CheckpointDeltaMsg-51 CheckpointDeltaMsg-84
+StateXferSolicit-20 StateXferSolicit-81 XferRequest-22 XferRequest-53
+BatchRecord-82 StateXferResponse-14 StateXferResponse-31 StateXferResponse-78
+BatchProposal-0 BatchProposal-33 BatchShare-54 SignedUpdateBatch-21
+ResponseBatchShare-85 CertifiedResponse-70 CertifiedResponse-87
+ShardMapAnnounce-23 CrossShardIntent-90 CrossShardPrepare-28
+CrossShardPrepare-48 CrossShardCommit-75
+""".split()
+assert [i.split("-")[0] for i in SAMPLE_IDS] == [type(m).__name__ for m in ALL_SAMPLES]
 
 
 @pytest.fixture(autouse=True)
@@ -39,9 +58,7 @@ def _fresh_payload_cache():
 # -- encode-once ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "message", ALL_SAMPLES, ids=lambda m: f"{type(m).__name__}-{id(m) % 97}"
-)
+@pytest.mark.parametrize("message", ALL_SAMPLES, ids=SAMPLE_IDS)
 def test_cached_bytes_equal_fresh_bytes(message):
     fresh = encode_message(message)
     assert codec.encode_message_cached(message) == fresh
@@ -77,7 +94,7 @@ def test_cached_bytes_equal_fresh_bytes_property(alias, seq, ciphertext, sig):
     update = EncryptedUpdate(
         alias=alias, client_seq=seq, ciphertext=ciphertext, threshold_sig=sig
     )
-    opaque = OpaqueUpdate(digest=b"\x01" * 32, payload=update, size=update.wire_size())
+    opaque = OpaqueUpdate(digest=b"\x01" * 32, payload=update, size=encoded_size(update))
     request = PoRequest(origin="r0#0", seq=seq, update=opaque)
     for message in (update, request):
         assert codec.encode_message_cached(message) == encode_message(message)
@@ -89,7 +106,7 @@ def test_opaque_update_carries_preencoded_payload():
     update = EncryptedUpdate(
         alias="abcd" * 4, client_seq=3, ciphertext=b"\x07" * 96, threshold_sig=b"\x08" * 48
     )
-    opaque = OpaqueUpdate(digest=b"\x02" * 32, payload=update, size=update.wire_size())
+    opaque = OpaqueUpdate(digest=b"\x02" * 32, payload=update, size=encoded_size(update))
     request = PoRequest(origin="r0#0", seq=3, update=opaque)
     wire = encode_message(request)
     decoded, _ = codec.decode_message(wire)
@@ -100,87 +117,21 @@ def test_opaque_update_carries_preencoded_payload():
     assert opaque.encoded is None and decoded.update == opaque
 
 
-# -- wire_size drift guard ------------------------------------------------------
-
-#: Documented estimate/actual bands per type (observed on the canonical
-#: samples). wire_size() includes a fixed 64-byte C-Spire header
-#: allowance, so near-empty messages (Heartbeat, Suspect) legitimately
-#: estimate far above their few-byte codec form; payload-bearing types
-#: sit near 1.4-2x. The test grants 10% grace around each band: more
-#: drift than that means the estimates (hence every bandwidth-derived
-#: plot) and the codec have diverged and the table needs a deliberate
-#: update.
-WIRE_SIZE_RATIO_BANDS = {
-    "BatchFetch": (17.6, 36.0),
-    "BatchFetchReply": (7.5, 7.5),
-    "BatchProposal": (1.4, 1.6),
-    "BatchRecord": (1.7, 1.7),
-    "BatchShare": (3.7, 3.7),
-    "CertifiedResponse": (1.3, 1.5),
-    "CheckpointDeltaMsg": (2.2, 3.4),
-    "CheckpointMsg": (1.4, 2.9),
-    "CrossShardCommit": (1.5, 1.5),
-    "CrossShardIntent": (2.0, 2.0),
-    "CrossShardPrepare": (1.5, 1.8),
-    "ShardMapAnnounce": (22.0, 22.0),
-    "ClientResponse": (1.7, 1.7),
-    "ClientUpdate": (1.5, 1.5),
-    "Commit": (3.3, 3.3),
-    "EncryptedUpdate": (1.6, 1.6),
-    "Heartbeat": (36.0, 36.0),
-    "IntroShare": (5.0, 5.0),
-    "KeyProposal": (1.8, 1.8),
-    "NewView": (17.1, 17.1),
-    "PoAck": (2.8, 2.8),
-    "PoAru": (6.9, 6.9),
-    "PoFetch": (11.4, 11.4),
-    "PoFetchReply": (2.0, 2.0),
-    "PoRequest": (1.75, 1.75),
-    "PrePrepare": (10.4, 10.4),
-    "Prepare": (3.3, 3.3),
-    "ResponseBatchShare": (3.7, 3.7),
-    "ResponseShare": (3.4, 3.4),
-    "SignedUpdateBatch": (1.4, 1.5),
-    "StateXferResponse": (2.1, 8.7),
-    "StateXferSolicit": (7.3, 7.3),
-    "Suspect": (36.0, 36.0),
-    "VcState": (9.2, 9.2),
-    "XferRequest": (7.3, 7.3),
-}
-
-DRIFT_GRACE = 0.10
+# -- one size model ---------------------------------------------------------------
 
 
-def test_wire_size_ratio_bands_cover_every_type():
-    assert set(WIRE_SIZE_RATIO_BANDS) == {t.__name__ for t in registered_types()}
-
-
-@pytest.mark.parametrize(
-    "message", ALL_SAMPLES, ids=lambda m: f"{type(m).__name__}-{id(m) % 97}"
-)
+@pytest.mark.parametrize("message", ALL_SAMPLES, ids=SAMPLE_IDS)
 def test_wire_size_within_documented_band(message):
-    name = type(message).__name__
-    low, high = WIRE_SIZE_RATIO_BANDS[name]
-    ratio = message.wire_size() / encoded_size(message)
-    assert low * (1 - DRIFT_GRACE) <= ratio <= high * (1 + DRIFT_GRACE), (
-        f"{name}: wire_size/encoded_size drifted to {ratio:.3f}, "
-        f"documented band [{low}, {high}] (+/-{DRIFT_GRACE:.0%})"
-    )
-
-
-@given(small=st.integers(16, 200), growth=st.integers(64, 4000))
-@settings(max_examples=30, deadline=None)
-def test_marginal_payload_cost_tracks_codec(small, growth):
-    """Per-byte drift guard: fixed header allowances cancel out, so the
-    estimate's marginal cost per ciphertext byte must match the codec's
-    within 10%."""
-    a = EncryptedUpdate(alias="a" * 16, client_seq=1, ciphertext=b"x" * small)
-    b = EncryptedUpdate(
-        alias="a" * 16, client_seq=1, ciphertext=b"x" * (small + growth)
-    )
-    est_delta = b.wire_size() - a.wire_size()
-    real_delta = encoded_size(b) - encoded_size(a)
-    assert abs(est_delta - real_delta) <= max(real_delta, 1) * DRIFT_GRACE
+    """The documented band is the point 1.0: what the sim's network bills
+    for a message is the length of its codec encoding, for every
+    registered type (the name predates the single size model)."""
+    kernel = Kernel()
+    topology = east_coast_topology(2)
+    topology.add_host("a", CONTROL_CENTER_A)
+    topology.add_host("b", CONTROL_CENTER_B)
+    network = Network(kernel, topology, Overlay(topology), RngRegistry(1))
+    network.send("a", "b", message)
+    assert network.bytes_sent == len(encode_message(message))
 
 
 # -- trace identity --------------------------------------------------------------

@@ -102,6 +102,25 @@ class TestBatchExpansion:
         assert h.lagging_reports["r1"]
 
 
+    def test_unfillable_shallow_gap_signals_lagging(self):
+        # The batch right below the committed horizon never committed
+        # here and no peer attests it any more (they pruned it at
+        # checkpoint stability, then the system went idle): the horizon
+        # never gets three ahead, so only the time gate can escalate.
+        # Found by tests/test_integration_message_loss.py seed 122, which
+        # left one replica two updates behind for good.
+        h = PrimeHarness(n_replicas=6, f=1, k=1)
+        h.start()
+        h.run(until=0.05)
+        order = h.engines["r1"].order
+        order.committed[2] = {"ghost#0": 1}
+        order.try_execute()
+        assert not order.execution_gap()  # batch fetch still has its chance
+        assert not h.lagging_reports["r1"]
+        h.run(until=1.5)
+        assert h.lagging_reports["r1"]
+
+
 class TestFastForwardAndGc:
     def test_fast_forward_skips_history(self):
         h = PrimeHarness(n_replicas=6, f=1, k=1)

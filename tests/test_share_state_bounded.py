@@ -22,9 +22,10 @@ def _state_sizes(deployment):
         found = {
             "response.open": len(replica.responses._rounds._open),
             "response.idle": len(replica.responses._rounds._idle),
-            # Not ``intro._batches._open``: a proposal whose items were
-            # executed through the other proposer's batch before enough
-            # peers co-signed stays open, as it did in ``_pending_batches``.
+            # A proposal whose items were all executed through the other
+            # proposer's batch never collects its co-signatures;
+            # ``mark_executed`` drops it (3 per ~600 updates stayed open).
+            "intro.batches.open": len(replica.intro._batches._open),
             "intro.batches.idle": len(replica.intro._batches._idle),
             "intro.acked": len(replica.intro._acked_batches),
             "intro.shares": len(replica.intro._shares),
@@ -34,9 +35,9 @@ def _state_sizes(deployment):
     return sizes
 
 
-def _run(duration, **overrides):
+def _run(duration, seed=19, **overrides):
     config = SystemConfig(
-        seed=19, f=1, num_clients=5, update_interval=0.1, checkpoint_interval=50,
+        seed=seed, f=1, num_clients=5, update_interval=0.1, checkpoint_interval=50,
         **overrides,
     )
     deployment = build(config)
@@ -52,7 +53,9 @@ def _run(duration, **overrides):
 
 @pytest.mark.parametrize(
     "overrides",
-    [{}, {"intro_batch_size": 8, "intro_batch_window": 0.05}],
+    # Seed 3: one replica's proposal loses the race to the other proposer's
+    # batch and is left open unless ``mark_executed`` drops it.
+    [{}, {"intro_batch_size": 8, "intro_batch_window": 0.05, "seed": 3}],
     ids=["singleton", "batched"],
 )
 def test_share_state_does_not_grow_with_updates(overrides):
@@ -64,3 +67,4 @@ def test_share_state_does_not_grow_with_updates(overrides):
         assert size <= window, f"{name} holds {size} entries after {long_n} updates"
     # Quiescent: nothing of this replica's own is left in flight.
     assert long["response.open"] == 0 and long["intro.shares"] == 0
+    assert long["intro.batches.open"] == 0
