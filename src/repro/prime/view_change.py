@@ -146,7 +146,17 @@ class ViewChange:
     # -- message handlers ----------------------------------------------------------------
 
     def on_suspect(self, src: str, message: Suspect) -> None:
-        target = message.target_view
+        # Suspect(t) says its sender operates at t-1: it has left every
+        # view below that as well, so it also votes for each lower view
+        # change still pending here. That is what lets a replica that
+        # adopted a view alone (its own vote completed a quorum nobody
+        # else saw, e.g. while its output was muted) pull the others
+        # after it: its next suspicion supplies the vote they missed.
+        pending = [t for t in self._suspect_votes if t < message.target_view]
+        for target in sorted(pending) + [message.target_view]:
+            self._count_vote(src, target)
+
+    def _count_vote(self, src: str, target: int) -> None:
         if target <= self._engine.view:
             return
         votes = self._suspect_votes.setdefault(target, set())

@@ -138,6 +138,39 @@ def test_replicas_stranded_in_future_view_pull_the_system_forward():
         assert any(p == b"after-rescue" for _o, p in h.delivered[rid]), rid
 
 
+def test_replica_alone_in_future_view_supplies_the_vote_the_others_missed():
+    # One replica cannot drag the system up (that would let a faulty one
+    # force view changes), and it is wedged out of the old view's
+    # agreement. How it got there alone: a quorum voted for view 1, but
+    # only r5 saw every vote (its own never went out: FaultLab seed 20,
+    # batched, a muted replica). Its next suspicion, Suspect(2), says it
+    # has left view 0 too, and must count as the vote the others lack.
+    from repro.prime.messages import Suspect
+
+    h = PrimeHarness(n_replicas=6, f=1, k=1)
+    h.start()
+    others = [rid for rid in h.ids if rid != "r5"]
+
+    def three_votes_everywhere():  # quorum is 4; r5's own was the fourth
+        for rid in h.ids:
+            for voter in ("r2", "r3", "r4"):
+                h.engines[rid].handle(voter, Suspect(target_view=1))
+
+    def r5_completes_its_quorum_unheard():
+        h.engines["r5"].handle("r5", Suspect(target_view=1))
+
+    h.kernel.call_at(0.2, three_votes_everywhere)
+    h.kernel.call_at(0.21, r5_completes_its_quorum_unheard)
+    h.run(until=0.25)
+    assert h.engines["r5"].view == 1
+    assert all(h.engines[rid].view == 0 for rid in others)
+    h.kernel.call_at(1.5, h.inject, "r0", b"after-rescue")
+    h.run(until=4.0)
+    assert all(e.view >= 1 for e in h.engines.values())
+    for rid in h.ids:
+        assert any(p == b"after-rescue" for _o, p in h.delivered[rid]), rid
+
+
 def test_leader_isolation_behaves_like_crash():
     h = PrimeHarness(n_replicas=6, f=1, k=1)
     h.start()
