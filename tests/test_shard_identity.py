@@ -31,13 +31,13 @@ run_events = trace_fingerprint.run_events
 fingerprint = trace_fingerprint.fingerprint
 
 GOLDEN = {
-    "singleton-s19": "b341ab2eb354e6472509cbc8a6b36eb17dc02acf02f14f7773caeccdbd99a553",
-    "singleton-s7": "006b3ef2f0f1a92de8bb2c2c188aef40016dcd812d7a8bed42f4bf0ceff66a91",
-    "batched": "e017d3046763ffcb7cac45aa1e4af8a698ab7be2160604980ae04697661b6226",
-    "spire": "ebf6b55a08d5a2156cb15450d4ea93d261236fbe20be832d0e0d77e6b5c746ad",
-    "delta-recovery": "9177ac36b262130ee1891e0b0aa6c44a15a59cbaf0b3debefe415b045b6f3b3a",
-    "key-renewal": "565300eb3d315f3e876d1cbe2e8cb8f7f8be53a42bc6f6779a2dc56d8a1018a4",
-    "disk-recovery": "309573af76e8e1463fd81ef4fb31d9dd9e0e735ee11bdfef0113eeefa52bc77b",
+    "singleton-s19": "4377d89a852bb06f810f7e96d16129c9f8dac3e54d9efca0c3ee93dceb52de12",
+    "singleton-s7": "ff1f6f35e540c5930325e8de6dc0f63f0e3447bc166e7bcf30720d5d3c288570",
+    "batched": "9741a39252169262e44fc557175d7b716632680216185d3e07a806ce71f1e4a0",
+    "spire": "d8e606de4dfa1146792b3f6a4d1726aba8cbd0a8f936ebdf03fd51a917439146",
+    "delta-recovery": "68acde15dcaed2fd04700c2c3321040a85f95b703e2d4b6c2f6831bb78ef52a7",
+    "key-renewal": "2a52eeece1968503bbb7fe578e995cce4d5445e2757617fea3a7a806a30cea53",
+    "disk-recovery": "8869cbe6e817c98a374a24294f8b413c2447e9f1ccdcd686783efab5653438f3",
 }
 
 SINGLETON = ("singleton-s19", "singleton-s7")
