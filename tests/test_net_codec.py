@@ -224,6 +224,29 @@ CPITM_MESSAGES = [
 ]
 
 
+# Parametrize ids for ``PRIME_MESSAGES + CPITM_MESSAGES``, one per sample and
+# the same on every run (three test modules used ``id(message) % 97``, which
+# named each case differently per process and made ``-k`` / ``--lf``
+# useless). The suffixes are those of one recorded run, so test inventories
+# taken before this table still match.
+SAMPLE_IDS = """
+PoRequest-94 PoAck-30 PoAru-63 PrePrepare-67 Prepare-3 Commit-5 Heartbeat-38
+Suspect-71 VcState-77 NewView-69 PoFetch-96 PoFetchReply-1 BatchFetch-34
+BatchFetch-39 BatchFetchReply-72 ClientUpdate-50 EncryptedUpdate-59
+IntroShare-41 ResponseShare-10 ClientResponse-76 KeyProposal-83
+CheckpointMsg-12 CheckpointMsg-49 CheckpointDeltaMsg-51 CheckpointDeltaMsg-84
+StateXferSolicit-20 StateXferSolicit-81 XferRequest-22 XferRequest-53
+BatchRecord-82 StateXferResponse-14 StateXferResponse-31 StateXferResponse-78
+BatchProposal-0 BatchProposal-33 BatchShare-54 SignedUpdateBatch-21
+ResponseBatchShare-85 CertifiedResponse-70 CertifiedResponse-87
+ShardMapAnnounce-23 CrossShardIntent-90 CrossShardPrepare-28
+CrossShardPrepare-48 CrossShardCommit-75
+""".split()
+assert [i.split("-")[0] for i in SAMPLE_IDS] == [
+    type(m).__name__ for m in PRIME_MESSAGES + CPITM_MESSAGES
+]
+
+
 # Samples that exist for the byte vectors only (other test modules import
 # the two lists above as their parametrize sets): the remaining
 # ``optional`` arms and the deepest nestings the protocol produces.

@@ -25,7 +25,7 @@ from repro.rt.wire import (
     extend_frame,
     frame_size,
 )
-from tests.test_net_codec import CPITM_MESSAGES, PRIME_MESSAGES
+from tests.test_net_codec import CPITM_MESSAGES, PRIME_MESSAGES, SAMPLE_IDS
 
 ALL_SAMPLES = PRIME_MESSAGES + CPITM_MESSAGES
 
@@ -39,9 +39,7 @@ def roundtrip(src, message):
     return frame
 
 
-@pytest.mark.parametrize(
-    "message", ALL_SAMPLES, ids=lambda m: f"{type(m).__name__}-{id(m) % 97}"
-)
+@pytest.mark.parametrize("message", ALL_SAMPLES, ids=SAMPLE_IDS)
 def test_every_sample_roundtrips(message):
     roundtrip("cc-a-r0", message)
 
