@@ -10,8 +10,9 @@ client — plus:
   exactly like the single-machine launcher does; scaling to genuinely
   separate machines means giving nodes distinct bind hosts, which the
   transport does not model yet.
-* ``spec-init``: renders ``/fleet/spec.json`` once at fleet start
-  (see ``scripts/gen_rt_spec.py``); every node waits for it.
+* ``spec-init``: renders ``/fleet/spec.json`` and deals every node's
+  key file once at fleet start (see ``scripts/gen_rt_spec.py``); every
+  node waits for it.
 
 Each node service carries a HEALTHCHECK probing the rt control plane's
 ``/health`` endpoint on that node's deterministic control port.
@@ -19,6 +20,7 @@ Each node service carries a HEALTHCHECK probing the rt control plane's
 The committed ``docker/docker-compose.yml`` is this script's output for
 the default topology; a test regenerates it and diffs, so the manifest
 can never drift from the port/host derivation in ``repro.rt.bootstrap``.
+Only hosts, sites and ports are needed, so no key is generated here.
 
     PYTHONPATH=src python scripts/gen_compose.py --out docker/docker-compose.yml
 """
@@ -32,7 +34,7 @@ from typing import Dict, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.rt.bootstrap import RtConfig, generate_fleet  # noqa: E402
+from repro.rt.bootstrap import RtConfig, fleet_layout  # noqa: E402
 from repro.system.config import (  # noqa: E402
     add_config_flags,
     config_argv,
@@ -90,7 +92,7 @@ def _service_name(host: str) -> str:
 
 
 def build_compose(config: RtConfig) -> Dict:
-    fleet = generate_fleet(config)
+    fleet = fleet_layout(config)
     depends = {
         "net": {"condition": "service_started"},
         "spec-init": {"condition": "service_completed_successfully"},

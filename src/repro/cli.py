@@ -641,9 +641,13 @@ def _cmd_rt(args: argparse.Namespace) -> int:
         except ConfigurationError as exc:
             print(f"repro rt node: {args.spec}: {exc}", file=sys.stderr)
             return 2
-        if args.host:
-            return run_replica_node(config, args.host)
-        return run_client_node(config, args.client)
+        try:
+            if args.host:
+                return run_replica_node(config, args.host)
+            return run_client_node(config, args.client)
+        except ConfigurationError as exc:  # a host or key file not of this fleet
+            print(f"repro rt node: {exc}", file=sys.stderr)
+            return 2
 
     # rt run
     from repro.rt.launcher import run_deployment

@@ -64,33 +64,34 @@ class FleetAggregator:
         """Build endpoints for a live deployment from its spec/RtConfig.
 
         Shard-aware: every shard's replicas and proxies are polled, with
-        node names carrying their shard namespace (``s0.cc-a-r0``).
+        node names carrying their shard namespace (``s0.cc-a-r0``). Only
+        hosts, sites and ports are needed: the key-free layout.
         """
-        from repro.rt.bootstrap import generate_fleet
+        from repro.rt.bootstrap import fleet_layout
 
         nodes = []
-        for shard in generate_fleet(config):
-            material = shard.material
+        for shard in fleet_layout(config):
+            layout = shard.material
             ports = shard.ports()
             nodes.extend(
                 NodeEndpoint(
                     name=host,
                     control_port=ports[host][1],
-                    site=material.topology.site_of(host).name,
+                    site=layout.topology.site_of(host).name,
                     role="replica",
                     host=config.bind_host,
                 )
-                for host in material.all_hosts
+                for host in layout.all_hosts
             )
             nodes.extend(
                 NodeEndpoint(
                     name=proxy_host,
                     control_port=ports[proxy_host][1],
-                    site=material.topology.site_of(proxy_host).name,
+                    site=layout.topology.site_of(proxy_host).name,
                     role="client",
                     host=config.bind_host,
                 )
-                for proxy_host in sorted(material.proxy_of_client.values())
+                for proxy_host in sorted(layout.proxy_of_client.values())
             )
         return cls(nodes, epoch=config.epoch)
 

@@ -9,7 +9,7 @@ kind             live realisation
 =============== ======================================================
 recover          SIGKILL the replica's OS process (no goodbye, no
                  flush), then respawn it after the window: the fresh
-                 process re-derives its key material from the seed and
+                 process loads the key file the launcher dealt it and
                  catches up — from its durable store first when one is
                  configured, then state transfer for the suffix.
 isolate          ``POST /partition`` to every node: traffic to and from

@@ -2,17 +2,19 @@
 
 ``repro rt run --f 1`` lands here. The launcher:
 
-1. computes the deployment material (hosts, ports) and writes the spec
-   file every node reads (:class:`~repro.rt.bootstrap.RtConfig` JSON with
-   the shared wall-clock epoch);
+1. is the deployment's one-time dealer: generates the fleet's material
+   (hosts, ports, every key), writes the spec file every node reads
+   (:class:`~repro.rt.bootstrap.RtConfig` JSON with the shared
+   wall-clock epoch) and one key file per node holding only what that
+   node's role uses (``out_dir/keys/<host>.json``, mode 0600);
 2. spawns one OS process per replica (``repro rt node --host X``), waits
    until every control endpoint answers ``/health``, then spawns one
    process per client (proxy + workload driver);
 3. supervises: periodically scrapes every node's Prometheus endpoint
    (``out_dir/scrape/<host>.prom``), watches for the clients' result
    files, and exposes :meth:`crash`/:meth:`restart` for fault injection
-   (SIGKILL — no goodbye — then an identical respawn that re-derives its
-   key material and rejoins via state transfer);
+   (SIGKILL — no goodbye — then an identical respawn that loads the same
+   key file and rejoins via state transfer);
 4. shuts down gracefully (``POST /shutdown`` — each node persists its
    observability slice first), then merges the slices into the standard
    bundle at ``out_dir/merged/`` (:mod:`repro.rt.merge`).
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.rt.bootstrap import RtConfig, generate_fleet
+from repro.rt.bootstrap import RtConfig, generate_fleet, write_key_files
 from repro.rt.control import http_request
 from repro.rt.merge import merge_bundle
 
@@ -85,8 +87,9 @@ class Launcher:
                              "(use Launcher.with_epoch or rt run)")
         self.config = config
         self.out_dir = Path(config.out_dir)
-        # One slice per shard; a single-shard fleet is exactly the classic
-        # derivation (no namespace, ports at base_port).
+        # One slice per shard, keys included: the launcher is the dealer.
+        # A single-shard fleet is exactly the classic derivation (no
+        # namespace, ports at base_port).
         self.slices = generate_fleet(config)
         self.material = self.slices[0].material
         self.ports: Dict[str, Tuple[int, int]] = {}
@@ -139,6 +142,7 @@ class Launcher:
         """Bring the whole fleet up: replicas first, then clients."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.spec_path.write_text(self.config.to_json(), encoding="utf-8")
+        write_key_files(self.config, self.slices)
 
         for host in self.all_hosts:
             self.replicas[host] = NodeHandle(
@@ -206,8 +210,8 @@ class Launcher:
             handle.proc.wait()
 
     async def restart(self, host: str) -> None:
-        """Respawn a crashed replica; it re-derives identical material and
-        rejoins, catching up through the ordinary state-transfer path."""
+        """Respawn a crashed replica; it loads the key file it was dealt
+        and rejoins, catching up through the ordinary state-transfer path."""
         handle = self.replicas[host]
         if handle.alive:
             self.crash(host)

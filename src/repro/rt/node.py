@@ -1,7 +1,9 @@
 """One RtLab OS process: a replica, or a client driving its proxy.
 
-A node re-derives the full deterministic system material from the spec
-file's (config, seed), builds the live substrate — a
+A node computes the key-free fleet layout from the spec file, loads the
+keys the dealer wrote for it (``out_dir/keys/<host>.json``: only what its
+role uses, see :func:`~repro.rt.bootstrap.load_node_material`), builds
+the live substrate — a
 :class:`~repro.rt.runtime.LiveScheduler` on its own asyncio loop and a
 :class:`~repro.rt.transport.LiveTransport` on its own TCP port — and then
 instantiates *exactly the same protocol objects the simulation uses*:
@@ -25,25 +27,24 @@ import json
 import os
 import signal
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.confidentiality import Auditor
 from repro.core.proxy import ClientProxy
 from repro.core.replica import ReplicaEnv
-from repro.errors import ConfigurationError
 from repro.obs.export import metrics_jsonl_rows, prometheus_text, tracer_jsonl_rows, write_jsonl
 from repro.obs.registry import MetricsRegistry
 from repro.obs.watch import NodeWatch
 from repro.rt.bootstrap import (
     RtConfig,
-    ShardSlice,
     SystemMaterial,
     build_env,
     build_proxy,
     build_replica,
     build_verify_cache,
     data_ports,
-    generate_fleet,
+    fleet_layout,
+    load_node_material,
     slice_for_client,
     slice_for_host,
 )
@@ -57,25 +58,23 @@ from repro.sim.trace import Tracer
 class NodeContext:
     """The live substrate plus the node's slice of the system."""
 
-    def __init__(self, config: RtConfig, host: str, role: str,
-                 shard: Optional[ShardSlice] = None):
+    def __init__(self, config: RtConfig, host: str, role: str):
         self.config = config
         self.host = host
         self.role = role
-        # Shard-aware: every node derives the whole fleet, then keeps only
-        # its own shard's slice (material, ports, system config). With
-        # shards == 1 the slice IS the classic single-group derivation.
-        # A caller that already derived the fleet passes its slice in.
-        if shard is None:
-            try:
-                shard = slice_for_host(generate_fleet(config), host)
-            except ConfigurationError as exc:
-                raise SystemExit(str(exc))
-        self.shard = shard
+        # Shard-aware: the whole fleet's layout, of which the node keeps
+        # its own shard's slice (layout, ports, system config) plus the
+        # keys dealt to this host. With shards == 1 the slice IS the
+        # classic single group. Raises ConfigurationError naming the host
+        # or the key file when either is not this fleet's.
+        self.fleet = fleet_layout(config)
+        self.shard = slice_for_host(self.fleet, host)
         self.shard_id = self.shard.shard_id
         self.system_config = self.shard.config
         self.rng = RngRegistry(self.system_config.seed)
-        self.material: SystemMaterial = self.shard.material
+        self.material: SystemMaterial = load_node_material(
+            config, self.shard.material, host
+        )
         self.ports = self.shard.ports()
         self.data_port, self.control_port = self.ports[host]
         self.loop = asyncio.get_event_loop()
@@ -500,19 +499,12 @@ class OpenLoopClientDriver:
         }
 
 
-async def _client_main(config: RtConfig, client_id: str) -> int:
-    # Clients route to their home shard: resolve the slice first, then
-    # stand the node context up on that shard's proxy host and ports.
-    # The fleet (the whole threshold keygen) is derived once per process:
-    # the context is handed the home slice instead of deriving it again.
-    fleet = generate_fleet(config)
-    try:
-        home = slice_for_client(fleet, client_id)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc))
-    proxy_host = home.material.proxy_of_client[client_id]
-
-    ctx = NodeContext(config, proxy_host, role="client", shard=home)
+def client_node(config: RtConfig, client_id: str) -> Tuple[NodeContext, ClientProxy]:
+    """A client process's context and proxy. Clients route to their home
+    shard: the context stands on that shard's proxy host and ports, with
+    the signing key dealt to that host."""
+    home = slice_for_client(fleet_layout(config), client_id)
+    ctx = NodeContext(config, home.material.proxy_of_client[client_id], role="client")
     proxy = build_proxy(
         ctx.material,
         ctx.system_config,
@@ -525,11 +517,16 @@ async def _client_main(config: RtConfig, client_id: str) -> int:
         verify_cache=build_verify_cache(ctx.system_config, ctx.metrics),
         retransmit_timeout=config.retransmit_timeout,
     )
+    return ctx, proxy
+
+
+async def _client_main(config: RtConfig, client_id: str) -> int:
+    ctx, proxy = client_node(config, client_id)
     await ctx.start()
 
     if config.load_profile:
         all_clients = sorted(
-            cid for fleet_slice in fleet for cid in fleet_slice.client_ids
+            cid for fleet_slice in ctx.fleet for cid in fleet_slice.client_ids
         )
         driver = OpenLoopClientDriver(
             ctx, proxy, config,

@@ -198,8 +198,8 @@ def build(
     kernel, rng, tracer = group.kernel, group.rng, group.tracer
     metrics, spans = group.metrics, group.spans
     # Geography, roles, and every key in the system come from the shared
-    # deterministic dealer; live RtLab nodes re-derive the identical
-    # material from (config, seed) in their own processes.
+    # deterministic dealer; on the live runtime the launcher runs the same
+    # dealer once and each node loads only its own slice of the keys.
     material = generate_material(
         config,
         rng,

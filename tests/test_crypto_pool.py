@@ -192,7 +192,7 @@ def test_rejects_zero_workers():
 def test_node_shutdown_route_closes_pool(tmp_path):
     """Live node path: POST /shutdown on the control port must end with
     the node's crypto pool shut down and its workers gone."""
-    from repro.rt.bootstrap import RtConfig
+    from repro.rt.bootstrap import RtConfig, generate_fleet, write_key_files
     from repro.rt.control import http_request
     from repro.rt.node import NodeContext
 
@@ -207,6 +207,7 @@ def test_node_shutdown_route_closes_pool(tmp_path):
             crypto_workers=2,
             intro_batch_size=4,
         )
+        write_key_files(config, generate_fleet(config))
         ctx = NodeContext(config, "cc-a-r0", role="replica")
         assert ctx.crypto_pool is not None
         pids = ctx.crypto_pool.worker_pids()

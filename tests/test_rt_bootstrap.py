@@ -1,11 +1,24 @@
-"""Deterministic bootstrap: every process derives the same world from (config, seed)."""
+"""Bootstrap: one dealer derives the world from (config, seed); a live
+node computes the key-free layout itself and loads only its own keys."""
 
+import asyncio
 import json
+import os
+import sys
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.rt.bootstrap import RtConfig, generate_material, host_ports
+from repro.rt.bootstrap import (
+    RtConfig,
+    fleet_layout,
+    generate_fleet,
+    generate_material,
+    host_ports,
+    key_file,
+    load_node_material,
+    write_key_files,
+)
 from repro.sim.rng import RngRegistry
 
 
@@ -123,6 +136,7 @@ def test_live_replica_reads_the_one_config_by_reference(tmp_path):
     from tests.test_config_single_source import SHARED_NON_DEFAULT
 
     config = RtConfig(**SHARED_NON_DEFAULT, out_dir=str(tmp_path), base_port=21900)
+    write_key_files(config, generate_fleet(config))
 
     async def assemble():
         ctx = NodeContext(config, "s1.cc-b-r0", role="replica")
@@ -145,3 +159,133 @@ def test_live_replica_reads_the_one_config_by_reference(tmp_path):
     assert replica.intro.failover_delay == config.failover_delay
     assert replica.checkpoints.interval == config.checkpoint_interval
     assert replica.checkpoints.delta_interval == config.checkpoint_delta_interval
+
+
+# -- the live dealer's key files --------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def dealt(tmp_path_factory):
+    """An f=1 confidential fleet dealt once: (config, dealer's fleet)."""
+    config = RtConfig(num_clients=2, seed=7, base_port=21950,
+                      out_dir=str(tmp_path_factory.mktemp("dealt")))
+    fleet = generate_fleet(config)
+    write_key_files(config, fleet)
+    return config, fleet
+
+
+def _load(config, host):
+    return load_node_material(config, fleet_layout(config)[0].material, host)
+
+
+def test_every_node_gets_an_owner_only_json_key_file(dealt):
+    config, fleet = dealt
+    material = fleet[0].material
+    hosts = list(material.all_hosts) + list(material.proxy_of_client.values())
+    files = sorted(key_file(config, hosts[0]).parent.iterdir())
+    assert files == sorted(key_file(config, host) for host in hosts)
+    for path in files:
+        assert os.stat(path).st_mode & 0o777 == 0o600, path
+        data = json.loads(path.read_text())
+        assert data["host"] == path.stem
+        assert isinstance(data["public"]["response"]["n"], str)  # hex integers
+
+
+def test_loaded_keys_are_the_dealers(dealt):
+    config, fleet = dealt
+    full = fleet[0].material
+    executing, storage = full.executing_hosts[0], full.data_center_hosts[0]
+    index = full.executing_hosts.index(executing) + 1
+
+    mine = _load(config, executing)
+    assert mine.intro_group.shares == {index: full.intro_group.shares[index]}
+    assert mine.response_group.shares == {index: full.response_group.shares[index]}
+    assert mine.response_group.public == full.response_group.public
+    assert mine.initial_client_keys == full.initial_client_keys
+    assert mine.client_registry == full.client_registry
+    assert mine.keystores[executing].hardware_encrypt(b"x" * 40) == (
+        full.keystores[executing].hardware_encrypt(b"x" * 40))
+    assert mine.keystores[executing].identity_sign(b"m") == (
+        full.keystores[executing].identity_sign(b"m"))
+
+    theirs = _load(config, storage)
+    assert theirs.keystores[storage].identity_sign(b"m") == (
+        full.keystores[storage].identity_sign(b"m"))
+    assert not theirs.keystores[storage].has_shared_symmetric
+
+    client = _load(config, full.proxy_of_client["client-01"])
+    assert client.client_keys["client-01"].sign(b"m") == full.client_keys["client-01"].sign(b"m")
+
+
+def _rewrite(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _deal_other_seed(config, tmp_path):
+    other = RtConfig(**{**config.__dict__, "seed": 8, "out_dir": str(tmp_path)})
+    write_key_files(other, generate_fleet(other))
+    return key_file(other, "cc-a-r0").read_text()
+
+
+KEY_FILE_DAMAGE = {
+    "missing": (lambda path, config, tmp: path.unlink(), "No such file"),
+    "truncated": (lambda path, config, tmp: path.write_text(path.read_text()[:200]),
+                  "not valid JSON"),
+    "not_json": (lambda path, config, tmp: path.write_text("cc-a-r0 keys"), "not valid JSON"),
+    "unknown_field": (lambda path, config, tmp: _rewrite(
+        path, lambda d: d["secrets"].update(colour="red")), "unknown key 'colour'"),
+    "missing_field": (lambda path, config, tmp: _rewrite(
+        path, lambda d: d["secrets"].pop("intro_share")), "missing key 'intro_share'"),
+    "other_host": (lambda path, config, tmp: path.write_text(
+        key_file(config, "dc-1-r0").read_text()), "dealt to 'dc-1-r0'"),
+    "other_seed": (lambda path, config, tmp: path.write_text(
+        _deal_other_seed(config, tmp)), "dealt for another spec"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(KEY_FILE_DAMAGE))
+def test_a_bad_key_file_fails_startup_naming_its_path(dealt, tmp_path, damage):
+    """One ConfigurationError naming the file, never a KeyError or a JSON
+    traceback in the node log."""
+    config, _ = dealt
+    path = key_file(config, "cc-a-r0")
+    original = path.read_text()
+    mutate, expected = KEY_FILE_DAMAGE[damage]
+    try:
+        mutate(path, config, tmp_path)
+        with pytest.raises(ConfigurationError, match=expected) as caught:
+            _load(config, "cc-a-r0")
+        assert str(path) in str(caught.value)
+    finally:
+        path.write_text(original)
+        path.chmod(0o600)
+
+
+def test_nodes_never_generate_keys(dealt, monkeypatch):
+    """An executing replica, a storage replica and a client start from the
+    dealt directory with every key generator made to raise."""
+    from repro.rt.bootstrap import build_replica
+    from repro.rt.node import NodeContext, client_node
+
+    config, fleet = dealt
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a node process generated a key")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro."):
+            for name in ("generate_safe_prime", "generate_keypair"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+
+    async def start():
+        for host in (fleet[0].material.executing_hosts[0],
+                     fleet[0].material.data_center_hosts[0]):
+            ctx = NodeContext(config, host, role="replica")
+            build_replica(ctx.env, ctx.material, host).store.close()
+        ctx, proxy = client_node(config, "client-00")
+        assert proxy.client_id == "client-00"
+
+    asyncio.run(start())

@@ -66,3 +66,16 @@ def test_every_node_persisted_artifacts(deployment):
     for node_dir in node_dirs:
         assert (node_dir / "metrics.prom").is_file(), node_dir.name
         assert (node_dir / "trace.jsonl").is_file(), node_dir.name
+
+
+def test_key_files_are_private_and_stay_out_of_the_bundle(deployment):
+    out, summary = deployment
+    keys = sorted((out / "keys").glob("*.json"))
+    assert len(keys) == 14 + 2  # one per replica and per client
+    for path in keys:
+        assert path.stat().st_mode & 0o777 == 0o600, path.name
+    secret = json.loads((out / "keys" / "cc-a-r0.json").read_text())["secrets"]
+    needle = secret["identity_key"]["d"]
+    merged = Path(summary["merged_bundle"]["metrics.prom"]).parent
+    for path in merged.rglob("*"):
+        assert needle not in path.read_text(errors="replace"), path.name

@@ -16,6 +16,9 @@ checks make that structural rather than a runtime observation:
 2. *held state* — a built deployment's storage replicas, and the
    ``ReplicaEnv`` every replica shares, hold no application, key
    schedule, symmetric key or threshold share.
+3. *process state* — what a live node process loads from the key file
+   the dealer wrote for it holds only its own role's keys (see the tests
+   at the end of this file).
 """
 
 import ast
@@ -26,8 +29,17 @@ import pytest
 
 import repro
 from repro.core import ReplicaEnv, StorageReplica
+from repro.crypto.keystore import HardwareKeyStore
+from repro.crypto.rsa import RsaKeyPair
 from repro.crypto.symmetric import SymmetricKeyPair
 from repro.crypto.threshold import ThresholdKeyShare
+from repro.rt.bootstrap import (
+    RtConfig,
+    fleet_layout,
+    generate_fleet,
+    load_node_material,
+    write_key_files,
+)
 from repro.system import SystemConfig, build
 
 SRC = Path(repro.__file__).resolve().parent.parent
@@ -174,3 +186,86 @@ def test_replica_env_carries_no_secrets(deployment):
     declared = {f.name for f in dataclasses.fields(ReplicaEnv)}
     assert not declared & {"initial_client_keys", "alias_to_client"}
     assert not _holds_secret(deployment.env)
+
+
+# -- process state: a live node's own key slice -----------------------------------
+#
+# Out of scope here: ``spec.json`` still carries the master ``seed``, so a
+# node that read its own spec could re-derive every key with
+# ``generate_fleet``. Taking the seed away from the nodes is CompromiseLab's.
+
+KEY_KINDS = (SymmetricKeyPair, ThresholdKeyShare, RsaKeyPair, HardwareKeyStore)
+
+
+@pytest.fixture(scope="module")
+def dealt_fleet(tmp_path_factory):
+    """An f=1 confidential fleet's dealt key files and its layout."""
+    config = RtConfig(mode="confidential", f=1, num_clients=2, seed=5,
+                      out_dir=str(tmp_path_factory.mktemp("fleet")))
+    write_key_files(config, generate_fleet(config))
+    return config, fleet_layout(config)[0].material
+
+
+def _loaded(dealt_fleet, host):
+    """The material ``host``'s process loads, and every key object in it
+    by kind (walking containers and every ``repro`` object's attributes)."""
+    config, layout = dealt_fleet
+    material = load_node_material(config, layout, host)
+    held = {kind: [] for kind in KEY_KINDS}
+    seen = set()
+
+    def walk(value):
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        for kind in KEY_KINDS:
+            if isinstance(value, kind):
+                held[kind].append(value)
+        if isinstance(value, dict):
+            children = list(value) + list(value.values())
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            children = value
+        elif type(value).__module__.startswith("repro.") and hasattr(value, "__dict__"):
+            children = vars(value).values()
+        else:
+            children = ()
+        for child in children:
+            walk(child)
+
+    walk(material)
+    return material, held
+
+
+def test_data_center_process_holds_only_its_identity_key(dealt_fleet):
+    _, layout = dealt_fleet
+    assert layout.data_center_hosts
+    for host in layout.data_center_hosts:
+        material, held = _loaded(dealt_fleet, host)
+        assert not held[SymmetricKeyPair], host
+        assert not held[ThresholdKeyShare], host
+        assert held[HardwareKeyStore] == [material.keystores[host]], host
+        # The one RSA key pair is the keystore's identity key: no client's.
+        [identity] = held[RsaKeyPair]
+        assert identity.public == material.keystores[host].identity_public
+
+
+def test_on_premises_process_holds_exactly_its_two_shares(dealt_fleet):
+    _, layout = dealt_fleet
+    for host in layout.on_premises_hosts:
+        material, held = _loaded(dealt_fleet, host)
+        index = layout.executing_hosts.index(host) + 1
+        moduli = sorted(share.public.n_modulus for share in held[ThresholdKeyShare])
+        assert moduli == sorted([material.intro_group.public.n_modulus,
+                                 material.response_group.public.n_modulus]), host
+        assert all(share.index == index for share in held[ThresholdKeyShare])
+        assert held[HardwareKeyStore] == [material.keystores[host]], host
+
+
+def test_client_process_holds_only_its_signing_key(dealt_fleet):
+    _, layout = dealt_fleet
+    for client_id, proxy_host in layout.proxy_of_client.items():
+        material, held = _loaded(dealt_fleet, proxy_host)
+        assert held[RsaKeyPair] == [material.client_keys[client_id]], client_id
+        assert list(material.client_keys) == [client_id]
+        for kind in (SymmetricKeyPair, ThresholdKeyShare, HardwareKeyStore):
+            assert not held[kind], (client_id, kind.__name__)
