@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Generate the docker compose manifest for a live RtLab fleet.
 
-One service per node process — every replica of every shard, every
-client — plus:
+One service per node process — every replica of the fleet's one
+replica group, every client — plus:
 
 * ``net``: an idle holder container whose network namespace every node
   joins (``network_mode: "service:net"``). The rt transport assumes one
@@ -34,7 +34,7 @@ from typing import Dict, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.rt.bootstrap import RtConfig, fleet_layout  # noqa: E402
+from repro.rt.bootstrap import RtConfig, fleet_layout, host_ports  # noqa: E402
 from repro.system.config import (  # noqa: E402
     add_config_flags,
     config_argv,
@@ -44,7 +44,7 @@ from repro.system.config import (  # noqa: E402
 #: The RtConfig fields this script takes as options and hands on to
 #: ``gen_rt_spec.py`` in the spec-init service (the load ones only for an
 #: open-loop fleet).
-FLEET_KNOBS = ("mode", "f", "num_clients", "seed", "shards", "base_port")
+FLEET_KNOBS = ("mode", "f", "num_clients", "seed", "base_port")
 LOAD_KNOBS = ("load_profile", "load_rate", "load_aliases", "load_duration")
 
 HEALTH_CMD = ["CMD", "python", "scripts/rt_health.py"]
@@ -87,12 +87,9 @@ def _scalar(value) -> str:
     return '"' + str(value).replace('"', '\\"') + '"'
 
 
-def _service_name(host: str) -> str:
-    return host.replace(".", "-")
-
-
 def build_compose(config: RtConfig) -> Dict:
-    fleet = fleet_layout(config)
+    layout = fleet_layout(config)
+    ports = host_ports(layout, config.base_port)
     depends = {
         "net": {"condition": "service_started"},
         "spec-init": {"condition": "service_completed_successfully"},
@@ -138,17 +135,15 @@ def build_compose(config: RtConfig) -> Dict:
         },
     }
 
-    for fleet_slice in fleet:
-        ports = fleet_slice.ports()
-        for host in sorted(fleet_slice.material.all_hosts):
-            services[_service_name(host)] = node_service(
-                "replica", {"NODE_HOST": host}, ports[host][1]
-            )
-        for client_id in sorted(fleet_slice.client_ids):
-            proxy_host = fleet_slice.material.proxy_of_client[client_id]
-            services[_service_name(client_id)] = node_service(
-                "client", {"NODE_CLIENT": client_id}, ports[proxy_host][1]
-            )
+    for host in sorted(layout.all_hosts):
+        services[host] = node_service(
+            "replica", {"NODE_HOST": host}, ports[host][1]
+        )
+    for client_id in sorted(layout.client_ids):
+        proxy_host = layout.proxy_of_client[client_id]
+        services[client_id] = node_service(
+            "client", {"NODE_CLIENT": client_id}, ports[proxy_host][1]
+        )
 
     return {
         "name": "repro-fleet",

@@ -23,11 +23,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.rt.bootstrap import RtConfig, generate_fleet, write_key_files  # noqa: E402
+from repro.rt.bootstrap import RtConfig, generate_fleet  # noqa: E402
+from repro.rt.keys import write_key_files  # noqa: E402
 from repro.system.config import add_config_flags, config_from_args  # noqa: E402
 
 KNOBS = (
-    "mode", "f", "num_clients", "seed", "shards", "base_port",
+    "mode", "f", "num_clients", "seed", "base_port",
     "updates_per_client", "update_interval", "durable_store",
     "load_profile", "load_rate", "load_aliases", "load_duration",
 )

@@ -44,7 +44,7 @@ _RUN_KNOBS = _OBS_KNOBS + (
 _COMPARE_KNOBS = ("f", "seed")
 _RT_KNOBS = (
     "mode", "f", "data_centers", "num_clients", "updates_per_client",
-    "update_interval", "seed", "shards", "base_port", "latency", "out_dir",
+    "update_interval", "seed", "base_port", "latency", "out_dir",
     "intro_batch_size", "intro_batch_window", "crypto_workers",
     "checkpoint_delta_interval", "store_compaction_interval",
     "store_compaction_budget", "trace_wire", "telemetry_interval", "detectors",
@@ -665,13 +665,6 @@ def _cmd_rt(args: argparse.Namespace) -> int:
               f"admitted {load['admitted']}, dropped {load['dropped']}, "
               f"timeouts {load['timeouts']}, slo_miss {load['slo_miss']}, "
               f"aliases {load['aliases']}")
-    shards = summary.get("shards") or {}
-    if len(shards) > 1:
-        for name in sorted(shards):
-            agg = shards[name]
-            print(f"  shard {name}: {agg['clients']} clients, "
-                  f"{agg['updates_completed']}/{agg['updates_submitted']} "
-                  "updates completed")
     print(f"latency: mean {summary['latency_mean'] * 1000:.1f} ms, "
           f"p50 {summary['latency_p50'] * 1000:.1f} ms, "
           f"p99 {summary['latency_p99'] * 1000:.1f} ms; "

@@ -142,7 +142,7 @@ LAGGING_DEBOUNCE = 1.0
 class ReplicaEnv:
     """Shared deployment context handed to every replica.
 
-    Built once per process by :func:`repro.rt.bootstrap.build_env` — the
+    Built once per process by :func:`repro.system.assembly.build_env` — the
     deployment's one :class:`~repro.system.config.SystemConfig` by
     reference, the roles and public keys derived from it, and the
     substrate handles; replicas treat it as read-only. It carries public

@@ -61,38 +61,26 @@ class FleetAggregator:
 
     @classmethod
     def for_config(cls, config) -> "FleetAggregator":
-        """Build endpoints for a live deployment from its spec/RtConfig.
-
-        Shard-aware: every shard's replicas and proxies are polled, with
-        node names carrying their shard namespace (``s0.cc-a-r0``). Only
-        hosts, sites and ports are needed: the key-free layout.
+        """Build endpoints for a live deployment from its spec/RtConfig:
+        every replica and proxy of its one replica group. Only hosts, sites
+        and ports are needed: the key-free layout.
         """
-        from repro.rt.bootstrap import fleet_layout
+        from repro.rt.bootstrap import fleet_layout, host_ports
 
-        nodes = []
-        for shard in fleet_layout(config):
-            layout = shard.material
-            ports = shard.ports()
-            nodes.extend(
-                NodeEndpoint(
-                    name=host,
-                    control_port=ports[host][1],
-                    site=layout.topology.site_of(host).name,
-                    role="replica",
-                    host=config.bind_host,
-                )
-                for host in layout.all_hosts
+        layout = fleet_layout(config)
+        ports = host_ports(layout, config.base_port)
+        nodes = [
+            NodeEndpoint(
+                name=host,
+                control_port=ports[host][1],
+                site=layout.topology.site_of(host).name,
+                role=role,
+                host=config.bind_host,
             )
-            nodes.extend(
-                NodeEndpoint(
-                    name=proxy_host,
-                    control_port=ports[proxy_host][1],
-                    site=layout.topology.site_of(proxy_host).name,
-                    role="client",
-                    host=config.bind_host,
-                )
-                for proxy_host in sorted(layout.proxy_of_client.values())
-            )
+            for hosts, role in ((layout.all_hosts, "replica"),
+                                (sorted(layout.proxy_of_client.values()), "client"))
+            for host in hosts
+        ]
         return cls(nodes, epoch=config.epoch)
 
     def _now(self) -> float:

@@ -2,8 +2,8 @@
 
 ``repro rt run --f 1`` lands here. The launcher:
 
-1. is the deployment's one-time dealer: generates the fleet's material
-   (hosts, ports, every key), writes the spec file every node reads
+1. is the deployment's one-time dealer: generates the material of the
+   fleet's one replica group (hosts, ports, every key), writes the spec file every node reads
    (:class:`~repro.rt.bootstrap.RtConfig` JSON with the shared
    wall-clock epoch) and one key file per node holding only what that
    node's role uses (``out_dir/keys/<host>.json``, mode 0600);
@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.rt.bootstrap import RtConfig, generate_fleet, write_key_files
+from repro.rt.bootstrap import RtConfig, generate_fleet, host_ports
 from repro.rt.control import http_request
+from repro.rt.keys import write_key_files
 from repro.rt.merge import merge_bundle
 
 _HEALTH_INTERVAL = 0.25
@@ -87,27 +88,10 @@ class Launcher:
                              "(use Launcher.with_epoch or rt run)")
         self.config = config
         self.out_dir = Path(config.out_dir)
-        # One slice per shard, keys included: the launcher is the dealer.
-        # A single-shard fleet is exactly the classic derivation (no
-        # namespace, ports at base_port).
-        self.slices = generate_fleet(config)
-        self.material = self.slices[0].material
-        self.ports: Dict[str, Tuple[int, int]] = {}
-        for shard in self.slices:
-            self.ports.update(shard.ports())
-        self.all_hosts: List[str] = [
-            host for shard in self.slices for host in shard.material.all_hosts
-        ]
-        self.client_ids: List[str] = [
-            cid for shard in self.slices for cid in shard.client_ids
-        ]
-        self.shard_of_client: Dict[str, int] = {
-            cid: shard.shard_id for shard in self.slices for cid in shard.client_ids
-        }
-        self.proxy_of_client: Dict[str, str] = {}
-        for shard in self.slices:
-            for cid in shard.client_ids:
-                self.proxy_of_client[cid] = shard.material.proxy_of_client[cid]
+        # The whole fleet's material, keys included: the launcher is the dealer.
+        self.material = generate_fleet(config)
+        self.ports: Dict[str, Tuple[int, int]] = host_ports(self.material, config.base_port)
+        self.client_ids: List[str] = self.material.client_ids
         self.replicas: Dict[str, NodeHandle] = {}
         self.clients: Dict[str, NodeHandle] = {}
         self.spec_path = self.out_dir / "spec.json"
@@ -142,9 +126,9 @@ class Launcher:
         """Bring the whole fleet up: replicas first, then clients."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.spec_path.write_text(self.config.to_json(), encoding="utf-8")
-        write_key_files(self.config, self.slices)
+        write_key_files(self.config, self.material)
 
-        for host in self.all_hosts:
+        for host in self.material.all_hosts:
             self.replicas[host] = NodeHandle(
                 name=host,
                 kind="replica",
@@ -155,7 +139,7 @@ class Launcher:
         await self._wait_healthy(self.replicas.values())
 
         for cid in self.client_ids:
-            proxy_host = self.proxy_of_client[cid]
+            proxy_host = self.material.proxy_of_client[cid]
             self.clients[cid] = NodeHandle(
                 name=cid,
                 kind="client",
@@ -317,15 +301,6 @@ class Launcher:
         )
         submitted = sum(r.get("updates", 0) for r in results.values())
         completed = sum(r.get("completed", 0) for r in results.values())
-        shards: Dict[str, Dict] = {}
-        for cid, result in results.items():
-            key = f"s{self.shard_of_client.get(cid, 0)}"
-            agg = shards.setdefault(
-                key, {"clients": 0, "updates_submitted": 0, "updates_completed": 0}
-            )
-            agg["clients"] += 1
-            agg["updates_submitted"] += result.get("updates", 0)
-            agg["updates_completed"] += result.get("completed", 0)
         summary = {
             "clients": len(results),
             "updates_submitted": submitted,
@@ -334,7 +309,6 @@ class Launcher:
             "latency_p50": _percentile(latencies, 50),
             "latency_p99": _percentile(latencies, 99),
             "latency_mean": sum(latencies) / len(latencies) if latencies else 0.0,
-            "shards": shards,
         }
         # Open-loop runs (RtConfig.load_profile) publish per-client load
         # accounting; aggregate it fleet-wide so drops/timeouts surface in

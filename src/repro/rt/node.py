@@ -1,9 +1,9 @@
 """One RtLab OS process: a replica, or a client driving its proxy.
 
-A node computes the key-free fleet layout from the spec file, loads the
-keys the dealer wrote for it (``out_dir/keys/<host>.json``: only what its
-role uses, see :func:`~repro.rt.bootstrap.load_node_material`), builds
-the live substrate — a
+A node computes the key-free layout of the fleet's one replica group from
+the spec file, loads the keys the dealer wrote for it
+(``out_dir/keys/<host>.json``: only what its role uses, see
+:func:`~repro.rt.keys.load_node_material`), builds the live substrate — a
 :class:`~repro.rt.runtime.LiveScheduler` on its own asyncio loop and a
 :class:`~repro.rt.transport.LiveTransport` on its own TCP port — and then
 instantiates *exactly the same protocol objects the simulation uses*:
@@ -35,24 +35,21 @@ from repro.core.replica import ReplicaEnv
 from repro.obs.export import metrics_jsonl_rows, prometheus_text, tracer_jsonl_rows, write_jsonl
 from repro.obs.registry import MetricsRegistry
 from repro.obs.watch import NodeWatch
-from repro.rt.bootstrap import (
-    RtConfig,
+from repro.errors import ConfigurationError
+from repro.rt.bootstrap import RtConfig, fleet_layout, host_ports
+from repro.rt.control import ControlServer
+from repro.rt.keys import load_node_material
+from repro.rt.runtime import LiveScheduler
+from repro.rt.transport import LiveTransport
+from repro.sim.rng import RngRegistry
+from repro.sim.trace import Tracer
+from repro.system.assembly import (
     SystemMaterial,
     build_env,
     build_proxy,
     build_replica,
     build_verify_cache,
-    data_ports,
-    fleet_layout,
-    load_node_material,
-    slice_for_client,
-    slice_for_host,
 )
-from repro.rt.control import ControlServer
-from repro.rt.runtime import LiveScheduler
-from repro.rt.transport import LiveTransport
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
 
 
 class NodeContext:
@@ -62,21 +59,17 @@ class NodeContext:
         self.config = config
         self.host = host
         self.role = role
-        # Shard-aware: the whole fleet's layout, of which the node keeps
-        # its own shard's slice (layout, ports, system config) plus the
-        # keys dealt to this host. With shards == 1 the slice IS the
-        # classic single group. Raises ConfigurationError naming the host
-        # or the key file when either is not this fleet's.
-        self.fleet = fleet_layout(config)
-        self.shard = slice_for_host(self.fleet, host)
-        self.shard_id = self.shard.shard_id
-        self.system_config = self.shard.config
-        self.rng = RngRegistry(self.system_config.seed)
-        self.material: SystemMaterial = load_node_material(
-            config, self.shard.material, host
-        )
-        self.ports = self.shard.ports()
+        # The fleet's key-free layout plus the keys dealt to this host.
+        # Raises ConfigurationError naming the host or the key file when
+        # either is not this fleet's.
+        layout = fleet_layout(config)
+        self.ports = host_ports(layout, config.base_port)
+        if host not in self.ports:
+            raise ConfigurationError(f"host {host!r} is not part of this fleet")
         self.data_port, self.control_port = self.ports[host]
+        self.system_config = config.system_config()
+        self.rng = RngRegistry(self.system_config.seed)
+        self.material: SystemMaterial = load_node_material(config, layout, host)
         self.loop = asyncio.get_event_loop()
         self.scheduler = LiveScheduler(self.loop, epoch=config.epoch)
         self.metrics = MetricsRegistry(now_fn=lambda: self.scheduler.now)
@@ -87,7 +80,7 @@ class NodeContext:
         self.site = self.material.topology.site_of(host).name
         self.transport = LiveTransport(
             self.material.topology,
-            data_ports(self.material, self.shard.base_port),
+            {name: ports[0] for name, ports in self.ports.items()},
             bind_host=config.bind_host,
             latency=config.latency,
             loop=self.loop,
@@ -156,7 +149,6 @@ class NodeContext:
             {
                 "host": self.host,
                 "role": self.role,
-                "shard": self.shard_id,
                 "now": self.scheduler.now,
                 "pid": os.getpid(),
                 "events": self.scheduler.events_processed,
@@ -258,7 +250,6 @@ class NodeContext:
             "host": self.host,
             "role": self.role,
             "site": self.site,
-            "shard": self.shard_id,
             "now": self.scheduler.now,
             "counters": [
                 {"name": c.name, "labels": list(c.labels), "value": c.value}
@@ -329,14 +320,6 @@ class ClientDriver:
         self.interval = interval
         self._completions: Dict[int, float] = {}
         self._done = asyncio.Event()
-        # Routing-tier accounting: in a sharded fleet each client's
-        # submissions count against its home shard (same instrument the
-        # sim's ShardRouter uses, so merged bundles validate uniformly).
-        self._m_shard = (
-            ctx.metrics.counter("shard.updates", shard=f"s{ctx.shard_id}")
-            if ctx.config.shards > 1
-            else None
-        )
         proxy.on_response(self._on_response)
 
     def _on_response(self, seq: int, _body: bytes, latency: float) -> None:
@@ -351,8 +334,6 @@ class ClientDriver:
         )
         for _ in range(self.updates):
             self._done.clear()
-            if self._m_shard is not None:
-                self._m_shard.inc()
             seq = self.proxy.submit(
                 _update_body(self.proxy.client_id, self.proxy.next_seq)
             )
@@ -420,11 +401,6 @@ class OpenLoopClientDriver:
         self._m_completed = ctx.metrics.counter("load.completed")
         self._m_slo_miss = ctx.metrics.counter("load.slo_miss")
         ctx.metrics.gauge("load.aliases").set(count)
-        self._m_shard = (
-            ctx.metrics.counter("shard.updates", shard=f"s{ctx.shard_id}")
-            if ctx.config.shards > 1
-            else None
-        )
         self.offered = 0
         self.admitted = 0
         self.dropped = 0
@@ -457,8 +433,6 @@ class OpenLoopClientDriver:
             + b"v" * max(cfg.load_value_bytes, 0)
         )
         self._phase_of[self.proxy.next_seq] = phase_at(self.spec, t_rel)
-        if self._m_shard is not None:
-            self._m_shard.inc()
         self.proxy.submit(body)
         self.admitted += 1
         self._m_admitted.inc()
@@ -500,11 +474,12 @@ class OpenLoopClientDriver:
 
 
 def client_node(config: RtConfig, client_id: str) -> Tuple[NodeContext, ClientProxy]:
-    """A client process's context and proxy. Clients route to their home
-    shard: the context stands on that shard's proxy host and ports, with
-    the signing key dealt to that host."""
-    home = slice_for_client(fleet_layout(config), client_id)
-    ctx = NodeContext(config, home.material.proxy_of_client[client_id], role="client")
+    """A client process's context and proxy: the context stands on the
+    client's proxy host and ports, with the signing key dealt to that host."""
+    proxy_host = fleet_layout(config).proxy_of_client.get(client_id)
+    if proxy_host is None:
+        raise ConfigurationError(f"client {client_id!r} is not part of this fleet")
+    ctx = NodeContext(config, proxy_host, role="client")
     proxy = build_proxy(
         ctx.material,
         ctx.system_config,
@@ -525,9 +500,7 @@ async def _client_main(config: RtConfig, client_id: str) -> int:
     await ctx.start()
 
     if config.load_profile:
-        all_clients = sorted(
-            cid for fleet_slice in ctx.fleet for cid in fleet_slice.client_ids
-        )
+        all_clients = sorted(ctx.material.client_ids)
         driver = OpenLoopClientDriver(
             ctx, proxy, config,
             client_index=all_clients.index(client_id),

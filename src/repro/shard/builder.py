@@ -28,21 +28,22 @@ builds (enforced by tests/test_shard_identity.py).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.app import Application, KeyValueApplication
 from repro.crypto.rsa import generate_keypair
+from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, SpanTracker
-from repro.rt.bootstrap import shard_configs, validate_client_ids
 from repro.shard.app import ShardAwareApplication, ShardCrossContext
 from repro.shard.coordinator import CrossShardCoordinator
 from repro.shard.messages import ShardMapAnnounce
 from repro.shard.router import ShardRouter
-from repro.shard.shardmap import ShardMap
+from repro.shard.shardmap import ShardMap, shard_seed
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process, Timeout, spawn
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
+from repro.system.assembly import validate_client_ids
 from repro.system.builder import BodyFn, Deployment, build, new_world
 from repro.system.config import SystemConfig
 
@@ -169,6 +170,40 @@ class ShardedDeployment:
                 spawn(self.kernel, gen(), name=f"workload-{client_id}")
             )
         return processes
+
+
+def shard_configs(config: SystemConfig) -> List[Tuple[str, List[str], SystemConfig]]:
+    """Per replica group: (hostname namespace, local client ids, its
+    single-group config).
+
+    One shard is the classic deployment, unchanged. S > 1 gives shard N
+    the clients the seeded :class:`ShardMap` assigns it, the ``sN.``
+    namespace, and its own seed.
+    """
+    client_ids = [f"client-{i:02d}" for i in range(config.num_clients)]
+    if config.shards == 1:
+        return [("", client_ids, config)]
+    assignment = ShardMap(seed=config.seed, shards=config.shards).assign(client_ids)
+    empty = sorted(s for s, ids in assignment.items() if not ids)
+    if empty:
+        raise ConfigurationError(
+            f"shard map (seed={config.seed}, shards={config.shards}) leaves "
+            f"shards {empty} without clients; use more clients, fewer "
+            "shards, or another seed"
+        )
+    return [
+        (
+            f"s{shard_id}.",
+            local_ids,
+            replace(
+                config,
+                shards=1,
+                num_clients=len(local_ids),
+                seed=shard_seed(config.seed, shard_id),
+            ),
+        )
+        for shard_id, local_ids in sorted(assignment.items())
+    ]
 
 
 def build_sharded(

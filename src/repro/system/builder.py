@@ -24,11 +24,11 @@ from repro.net.network import Network
 from repro.obs import NULL_METRICS, MetricsRegistry, SpanTracker
 from repro.net.overlay import Overlay
 from repro.net.topology import Topology
-from repro.rt.bootstrap import build_env, build_proxy, build_replica, generate_material
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process, Timeout, spawn
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
+from repro.system.assembly import build_env, build_proxy, build_replica, generate_material
 from repro.system.config import SystemConfig
 from repro.system.metrics import LatencyRecorder
 from repro.system.recovery import RecoveryOrchestrator

@@ -46,16 +46,6 @@ class ProtocolConfig:
     data_centers: int = field(default=2, metadata=flag("--data-centers"))
     seed: int = field(default=1, metadata=flag("--seed"))
 
-    # ShardLab: number of independent replica groups. 1 is the classic
-    # single-group deployment (trace-byte-identical to pre-shard builds);
-    # S > 1 partitions the client keyspace across S groups, each a full
-    # Prime deployment (own threshold groups, own stores, own key-renewal
-    # schedule) with namespaced hostnames (``s0.`` ...), fronted by the
-    # deterministic :class:`~repro.shard.shardmap.ShardMap`.
-    shards: int = field(default=1, metadata=flag(
-        "--shards", "independent replica groups; clients are routed to "
-                    "their home shard"))
-
     # Workload (Section VII: ten substations at 1 update/s each).
     num_clients: int = field(default=10, metadata=flag("--clients"))
     update_interval: float = field(default=1.0, metadata=flag("--interval"))
@@ -106,10 +96,9 @@ class ProtocolConfig:
 
     #: (field, smallest valid value); subclasses append their own.
     _MINIMUM = (
-        ("f", 1), ("data_centers", 1), ("num_clients", 1), ("shards", 1),
-        ("intro_batch_size", 1), ("crypto_workers", 0),
-        ("checkpoint_delta_interval", 0), ("store_compaction_interval", 0),
-        ("store_compaction_budget", 1),
+        ("f", 1), ("data_centers", 1), ("num_clients", 1), ("intro_batch_size", 1),
+        ("crypto_workers", 0), ("checkpoint_delta_interval", 0),
+        ("store_compaction_interval", 0), ("store_compaction_budget", 1),
     )
 
     def __post_init__(self) -> None:
@@ -127,14 +116,6 @@ class ProtocolConfig:
                 )
         if self.data_centers > 3:
             raise ConfigurationError("1-3 data centers supported")
-        if self.shards > 64:
-            raise ConfigurationError("1-64 shards supported")
-        if self.shards > self.num_clients:
-            raise ConfigurationError(
-                f"{self.shards} shards need at least {self.shards} clients "
-                f"(got {self.num_clients}); every shard must own a slice of "
-                "the client keyspace"
-            )
         # The distribution rule (Section IV-B / Table I) is checked here so
         # an infeasible (f, k, S) combination fails at config construction
         # with a clear error, not mid-way through material generation.
@@ -160,6 +141,14 @@ class SystemConfig(ProtocolConfig):
     submitting one update per second each.
     """
 
+    # ShardLab (simulation only; the live runtime runs one group): number
+    # of independent replica groups. 1 is the classic single-group
+    # deployment (trace-byte-identical to pre-shard builds); S > 1
+    # partitions the client keyspace across S groups, each a full Prime
+    # deployment (own threshold groups, own stores, own key-renewal
+    # schedule) with namespaced hostnames (``s0.`` ...), fronted by the
+    # deterministic :class:`~repro.shard.shardmap.ShardMap`.
+    shards: int = 1
     # The simulated one-way routing-tier cost charged per routed
     # submission; it only applies when shards > 1.
     route_delay: float = 0.0005
@@ -206,7 +195,18 @@ class SystemConfig(ProtocolConfig):
     # every instrumentation site degrades to a no-op attribute access.
     metrics_enabled: bool = True
 
-    _MINIMUM = ProtocolConfig._MINIMUM + (("route_delay", 0),)
+    _MINIMUM = ProtocolConfig._MINIMUM + (("shards", 1), ("route_delay", 0))
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.shards > 64:
+            raise ConfigurationError("1-64 shards supported")
+        if self.shards > self.num_clients:
+            raise ConfigurationError(
+                f"{self.shards} shards need at least {self.shards} clients "
+                f"(got {self.num_clients}); every shard must own a slice of "
+                "the client keyspace"
+            )
 
 
 def project(source: Any, target: Type[C], **overrides: Any) -> C:

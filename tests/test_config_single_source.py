@@ -35,8 +35,8 @@ RT_SPEC_PATH = DATA / "rt_spec_parent.json"
 
 #: One spec with every RtConfig field off its default.
 NON_DEFAULT_SPEC = dict(
-    mode="spire", f=2, data_centers=3, num_clients=7, seed=41, shards=2,
-    shard_port_stride=300, updates_per_client=9, update_interval=0.07,
+    mode="spire", f=2, data_centers=3, num_clients=7, seed=41,
+    updates_per_client=9, update_interval=0.07,
     pp_interval=0.04, vc_timeout=2.5, failover_delay=0.4,
     retransmit_timeout=1.5, checkpoint_interval=40, base_port=19000,
     bind_host="0.0.0.0", latency=False, epoch=1234.5, out_dir="/tmp/spec-out",
@@ -120,9 +120,9 @@ def test_every_knob_is_declared_in_exactly_one_place():
     for name in LIVE_SCALED:  # an override that changes nothing is a copy
         assert (RtConfig.__dataclass_fields__[name].default
                 != ProtocolConfig.__dataclass_fields__[name].default)
-    assert len(_declared(ProtocolConfig)) == 19
+    assert len(_declared(ProtocolConfig)) == 18
     assert len(_declared(ReplicaEnv)) <= 18
-    assert sum(len(_declared(cls)) for cls in classes) <= 79
+    assert sum(len(_declared(cls)) for cls in classes) <= 78
 
 
 def test_system_config_projections_carry_every_shared_field():
@@ -221,6 +221,20 @@ def test_rt_node_prints_a_bad_spec_and_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'checkpoint_delta_intervall'" in err
     assert "'checkpoint_delta_interval'" in err
+
+
+def test_rt_node_names_the_keys_of_a_multi_group_spec_and_exits_2(tmp_path, capsys):
+    """A spec written for the multi-group live fleet fails with the
+    config error, not a traceback."""
+    from tests.test_rt_bootstrap import PARENT_ONLY_KEYS
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**json.loads(RtConfig().to_json()), **PARENT_ONLY_KEYS}))
+    assert cli.main(["rt", "node", "--spec", str(path), "--host", "cc-a-r0"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for key in PARENT_ONLY_KEYS:
+        assert f"unknown key '{key}'" in err
 
 
 if __name__ == "__main__":

@@ -192,8 +192,9 @@ def test_rejects_zero_workers():
 def test_node_shutdown_route_closes_pool(tmp_path):
     """Live node path: POST /shutdown on the control port must end with
     the node's crypto pool shut down and its workers gone."""
-    from repro.rt.bootstrap import RtConfig, generate_fleet, write_key_files
+    from repro.rt.bootstrap import RtConfig, generate_fleet
     from repro.rt.control import http_request
+    from repro.rt.keys import write_key_files
     from repro.rt.node import NodeContext
 
     loop = asyncio.new_event_loop()

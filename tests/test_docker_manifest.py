@@ -38,13 +38,12 @@ def test_committed_manifest_is_generator_output():
 
 def test_every_node_has_healthcheck_and_spec_dependency():
     gen = _load_gen_compose()
-    from repro.rt.bootstrap import RtConfig, generate_fleet
+    from repro.rt.bootstrap import RtConfig, fleet_layout
 
     config = RtConfig()
     compose = gen.build_compose(config)
-    fleet = generate_fleet(config)
-    node_count = sum(
-        len(s.material.all_hosts) + len(s.client_ids) for s in fleet)
+    layout = fleet_layout(config)
+    node_count = len(layout.all_hosts) + len(layout.client_ids)
     services = compose["services"]
     nodes = {name: svc for name, svc in services.items()
              if name not in ("net", "spec-init")}
@@ -59,17 +58,17 @@ def test_every_node_has_healthcheck_and_spec_dependency():
 
 def test_control_ports_match_bootstrap_derivation():
     gen = _load_gen_compose()
-    from repro.rt.bootstrap import RtConfig, generate_fleet
+    from repro.rt.bootstrap import RtConfig, fleet_layout, host_ports
 
     config = RtConfig()
     compose = gen.build_compose(config)
     services = compose["services"]
-    for fleet_slice in generate_fleet(config):
-        ports = fleet_slice.ports()
-        for host in fleet_slice.material.all_hosts:
-            svc = services[gen._service_name(host)]
-            assert svc["environment"]["NODE_CONTROL_PORT"] == str(ports[host][1])
-        for client_id in fleet_slice.client_ids:
-            proxy = fleet_slice.material.proxy_of_client[client_id]
-            svc = services[gen._service_name(client_id)]
-            assert svc["environment"]["NODE_CONTROL_PORT"] == str(ports[proxy][1])
+    layout = fleet_layout(config)
+    ports = host_ports(layout, config.base_port)
+    for host in layout.all_hosts:
+        svc = services[host]
+        assert svc["environment"]["NODE_CONTROL_PORT"] == str(ports[host][1])
+    for client_id in layout.client_ids:
+        proxy = layout.proxy_of_client[client_id]
+        svc = services[client_id]
+        assert svc["environment"]["NODE_CONTROL_PORT"] == str(ports[proxy][1])

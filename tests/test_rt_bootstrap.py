@@ -9,17 +9,10 @@ import sys
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.rt.bootstrap import (
-    RtConfig,
-    fleet_layout,
-    generate_fleet,
-    generate_material,
-    host_ports,
-    key_file,
-    load_node_material,
-    write_key_files,
-)
+from repro.rt.bootstrap import RtConfig, fleet_layout, generate_fleet, host_ports
+from repro.rt.keys import key_file, load_node_material, write_key_files
 from repro.sim.rng import RngRegistry
+from repro.system.assembly import build_replica, generate_material
 
 
 def _material(seed=7, **overrides):
@@ -100,7 +93,6 @@ def test_rt_config_json_roundtrip():
     {"telemetry_interval": -1.0},
     {"load_duration": -1.0},
     {"load_max_inflight": 0},
-    {"shards": 4, "num_clients": 3},
     {"f": 1, "data_centers": 0},
 ])
 def test_live_config_is_validated_where_it_is_built(bad):
@@ -108,6 +100,10 @@ def test_live_config_is_validated_where_it_is_built(bad):
     spec generators all fail at construction, like SystemConfig."""
     with pytest.raises(ConfigurationError):
         RtConfig(**bad)
+
+
+#: Spec keys of the multi-group live fleet, gone with it.
+PARENT_ONLY_KEYS = {"shards": 1, "shard_port_stride": 256}
 
 
 def test_spec_with_an_unknown_or_missing_key_names_it():
@@ -120,6 +116,10 @@ def test_spec_with_an_unknown_or_missing_key_names_it():
     for text in ("[1, 2]", "{not json"):
         with pytest.raises(ConfigurationError):
             RtConfig.from_json(text)
+    # A spec written before the live fleet became one replica group.
+    for key, value in PARENT_ONLY_KEYS.items():
+        with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+            RtConfig.from_json(json.dumps({**json.loads(RtConfig().to_json()), key: value}))
 
 
 def test_live_replica_reads_the_one_config_by_reference(tmp_path):
@@ -129,7 +129,6 @@ def test_live_replica_reads_the_one_config_by_reference(tmp_path):
     import asyncio
     from dataclasses import fields
 
-    from repro.rt.bootstrap import build_replica, shard_configs
     from repro.rt.node import NodeContext
     from repro.rt.runtime import LiveScheduler
     from repro.system.config import ProtocolConfig
@@ -139,7 +138,7 @@ def test_live_replica_reads_the_one_config_by_reference(tmp_path):
     write_key_files(config, generate_fleet(config))
 
     async def assemble():
-        ctx = NodeContext(config, "s1.cc-b-r0", role="replica")
+        ctx = NodeContext(config, "cc-b-r0", role="replica")
         try:
             assert isinstance(ctx.scheduler, LiveScheduler)
             return build_replica(ctx.env, ctx.material, ctx.host), ctx
@@ -149,12 +148,9 @@ def test_live_replica_reads_the_one_config_by_reference(tmp_path):
     replica, ctx = asyncio.run(assemble())
     seen = replica.env.config
     assert seen is ctx.system_config
-    # Shard 1's slice of the deployment: the shard split rewrites exactly
-    # shards / num_clients / seed, and carries every other knob unchanged.
-    assert seen == shard_configs(config.system_config())[1][2]
+    assert seen == config.system_config()
     for spec in fields(ProtocolConfig):
-        if spec.name not in ("shards", "num_clients", "seed"):
-            assert getattr(seen, spec.name) == getattr(config, spec.name), spec.name
+        assert getattr(seen, spec.name) == getattr(config, spec.name), spec.name
     assert replica.engine.config.pp_interval == config.pp_interval
     assert replica.intro.failover_delay == config.failover_delay
     assert replica.checkpoints.interval == config.checkpoint_interval
@@ -166,21 +162,20 @@ def test_live_replica_reads_the_one_config_by_reference(tmp_path):
 
 @pytest.fixture(scope="module")
 def dealt(tmp_path_factory):
-    """An f=1 confidential fleet dealt once: (config, dealer's fleet)."""
+    """An f=1 confidential fleet dealt once: (config, dealer's material)."""
     config = RtConfig(num_clients=2, seed=7, base_port=21950,
                       out_dir=str(tmp_path_factory.mktemp("dealt")))
-    fleet = generate_fleet(config)
-    write_key_files(config, fleet)
-    return config, fleet
+    material = generate_fleet(config)
+    write_key_files(config, material)
+    return config, material
 
 
 def _load(config, host):
-    return load_node_material(config, fleet_layout(config)[0].material, host)
+    return load_node_material(config, fleet_layout(config), host)
 
 
 def test_every_node_gets_an_owner_only_json_key_file(dealt):
-    config, fleet = dealt
-    material = fleet[0].material
+    config, material = dealt
     hosts = list(material.all_hosts) + list(material.proxy_of_client.values())
     files = sorted(key_file(config, hosts[0]).parent.iterdir())
     assert files == sorted(key_file(config, host) for host in hosts)
@@ -192,8 +187,7 @@ def test_every_node_gets_an_owner_only_json_key_file(dealt):
 
 
 def test_loaded_keys_are_the_dealers(dealt):
-    config, fleet = dealt
-    full = fleet[0].material
+    config, full = dealt
     executing, storage = full.executing_hosts[0], full.data_center_hosts[0]
     index = full.executing_hosts.index(executing) + 1
 
@@ -266,10 +260,9 @@ def test_a_bad_key_file_fails_startup_naming_its_path(dealt, tmp_path, damage):
 def test_nodes_never_generate_keys(dealt, monkeypatch):
     """An executing replica, a storage replica and a client start from the
     dealt directory with every key generator made to raise."""
-    from repro.rt.bootstrap import build_replica
     from repro.rt.node import NodeContext, client_node
 
-    config, fleet = dealt
+    config, material = dealt
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("a node process generated a key")
@@ -281,8 +274,7 @@ def test_nodes_never_generate_keys(dealt, monkeypatch):
                     monkeypatch.setattr(module, name, refuse)
 
     async def start():
-        for host in (fleet[0].material.executing_hosts[0],
-                     fleet[0].material.data_center_hosts[0]):
+        for host in (material.executing_hosts[0], material.data_center_hosts[0]):
             ctx = NodeContext(config, host, role="replica")
             build_replica(ctx.env, ctx.material, host).store.close()
         ctx, proxy = client_node(config, "client-00")

@@ -61,7 +61,7 @@ class TestClientIdentityValidation:
     """Duplicate/colliding client ids must fail loudly, not overwrite keys."""
 
     def test_duplicate_client_ids_rejected(self):
-        from repro.rt.bootstrap import generate_material
+        from repro.system.assembly import generate_material
         from repro.sim.rng import RngRegistry
 
         config = SystemConfig(num_clients=2, seed=5)
@@ -71,7 +71,7 @@ class TestClientIdentityValidation:
             )
 
     def test_empty_client_id_rejected(self):
-        from repro.rt.bootstrap import generate_material
+        from repro.system.assembly import generate_material
         from repro.sim.rng import RngRegistry
 
         config = SystemConfig(num_clients=2, seed=5)
@@ -79,7 +79,7 @@ class TestClientIdentityValidation:
             generate_material(config, RngRegistry(5), client_ids=["client-00", ""])
 
     def test_empty_client_set_rejected(self):
-        from repro.rt.bootstrap import validate_client_ids
+        from repro.system.assembly import validate_client_ids
 
         with pytest.raises(ConfigurationError, match="at least one client"):
             validate_client_ids([])
@@ -138,12 +138,11 @@ class TestOneConfigByReference:
         one SystemConfig, not a copy of its fields."""
         from dataclasses import fields
 
-        from repro.rt.bootstrap import shard_configs
-        from repro.shard.builder import build_sharded
+        from repro.shard.builder import build_sharded, shard_configs
         from repro.system.config import ProtocolConfig
         from tests.test_config_single_source import SHARED_NON_DEFAULT
 
-        config = SystemConfig(**SHARED_NON_DEFAULT)
+        config = SystemConfig(**SHARED_NON_DEFAULT, shards=2)
         sharded = build_sharded(config)
         try:
             planned = shard_configs(config)

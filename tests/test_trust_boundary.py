@@ -33,13 +33,8 @@ from repro.crypto.keystore import HardwareKeyStore
 from repro.crypto.rsa import RsaKeyPair
 from repro.crypto.symmetric import SymmetricKeyPair
 from repro.crypto.threshold import ThresholdKeyShare
-from repro.rt.bootstrap import (
-    RtConfig,
-    fleet_layout,
-    generate_fleet,
-    load_node_material,
-    write_key_files,
-)
+from repro.rt.bootstrap import RtConfig, fleet_layout, generate_fleet
+from repro.rt.keys import load_node_material, write_key_files
 from repro.system import SystemConfig, build
 
 SRC = Path(repro.__file__).resolve().parent.parent
@@ -152,6 +147,28 @@ def test_walker_sees_through_nesting_and_skips_type_checking(tmp_path):
     assert _imports(probe) == {"repro.core.encryption", "repro.core.intro"}
 
 
+#: Packages the simulation stands on; the live runtime builds on them,
+#: never the other way round.
+SIM_LAYERS = ("system", "shard", "core", "prime", "sim", "store", "net", "crypto")
+
+
+def test_sim_layers_import_only_the_substrate_interface_from_rt():
+    """The sim and the protocol share their assembly with the live runtime
+    from ``repro.system.assembly``; of ``repro.rt`` they may name only the
+    substrate interface both runtimes implement."""
+    modules = [name for package in SIM_LAYERS for name in _modules_under(f"repro.{package}")]
+    assert "repro.system.assembly" in modules and "repro.shard.builder" in modules
+    offending = {
+        module: sorted(imported)
+        for module in modules
+        if (imported := {
+            name for name in _imports(_module_file(module))
+            if name.startswith("repro.rt.") and name != "repro.rt.substrate"
+        })
+    }
+    assert not offending, f"sim-layer modules import the live runtime: {offending}"
+
+
 @pytest.fixture(scope="module")
 def deployment():
     return build(SystemConfig(f=1, num_clients=2, seed=5))
@@ -203,7 +220,7 @@ def dealt_fleet(tmp_path_factory):
     config = RtConfig(mode="confidential", f=1, num_clients=2, seed=5,
                       out_dir=str(tmp_path_factory.mktemp("fleet")))
     write_key_files(config, generate_fleet(config))
-    return config, fleet_layout(config)[0].material
+    return config, fleet_layout(config)
 
 
 def _loaded(dealt_fleet, host):
