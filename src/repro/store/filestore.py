@@ -69,7 +69,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.messages import BatchRecord, CheckpointDeltaMsg, CheckpointMsg
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.net.codec import decode_message, encode_message
 from repro.obs.registry import NULL_METRICS
 from repro.store.base import DurableStore, StoreLoad
@@ -574,7 +574,7 @@ class FileStore(DurableStore):
                     return
                 try:
                     record, _ = decode_message(body)
-                except Exception:
+                except ProtocolError:
                     record = None
                 if not isinstance(record, BatchRecord):
                     load.corrupt_segments += 1
@@ -757,7 +757,7 @@ def _verify_framed_bytes(data: bytes, magic: bytes):
         return None
     try:
         message, _ = decode_message(body)
-    except Exception:
+    except ProtocolError:
         return None
     return message
 
@@ -844,7 +844,7 @@ def _scan_segment_frames(path: Path) -> Optional[List[Tuple[int, bytes]]]:
                     return None
                 try:
                     record, _ = decode_message(body)
-                except Exception:
+                except ProtocolError:
                     return None
                 if not isinstance(record, BatchRecord):
                     return None

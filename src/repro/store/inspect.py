@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.messages import BatchRecord
+from repro.errors import ProtocolError
 from repro.net.codec import decode_message
 from repro.store.filestore import (
     SEGMENT_MAGIC,
@@ -83,7 +84,7 @@ def scan_segment(path: Path, is_last: bool) -> Dict:
             break
         try:
             record, _ = decode_message(body)
-        except Exception:
+        except ProtocolError:
             record = None
         if not isinstance(record, BatchRecord):
             report["status"] = "corrupt"

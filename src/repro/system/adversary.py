@@ -35,7 +35,7 @@ from repro.core.messages import ClientUpdate, IntroShare, ResponseShare, client_
 from repro.core.executing import ExecutingReplica
 from repro.core.replica import ReplicaBase
 from repro.crypto.threshold import PartialSignature
-from repro.errors import ConfigurationError, KeyExfiltrationError
+from repro.errors import ConfigurationError, KeyExfiltrationError, KeyScheduleError
 from repro.prime.messages import Heartbeat, PrePrepare
 
 
@@ -183,7 +183,7 @@ class Adversary:
             for alias in map(client_alias, self.deployment.env.client_registry):
                 try:
                     schedule = replica.key_manager.schedule_for(alias)
-                except Exception:
+                except KeyScheduleError:
                     continue
                 bag.client_keys[alias] = schedule.latest.keys
                 bag.client_epochs[alias] = (

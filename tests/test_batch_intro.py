@@ -143,6 +143,8 @@ def test_batching_amortises_threshold_combines(batch_size):
     assert batches < completed
 
 
+# CI's ``faultlab --seeds 20 --batch-size 8`` sweeps these seeds too.
+@pytest.mark.slow
 def test_batched_faultlab_sweep_stays_green():
     """FaultLab's invariant battery (confidentiality, ordering safety,
     checkpoint monotonicity, liveness) over crash/partition schedules with

@@ -27,11 +27,14 @@ def sweep_results():
     return sweep([1, 2, 3], LAB)
 
 
+# Seeds 1-3 of the default lab are also swept by CI's ``faultlab --seeds 25``.
+@pytest.mark.slow
 def test_bounded_seed_sweep_is_green(sweep_results):
     for result in sweep_results:
         assert result.ok, result.report.summary()
 
 
+@pytest.mark.slow
 def test_sweep_checks_all_safety_invariants(sweep_results):
     for result in sweep_results:
         checked = set(result.report.checked) - set(result.report.skipped)

@@ -15,8 +15,13 @@ from repro.core.messages import (
 )
 from repro.errors import ConfigurationError
 from repro.store import FileStore, MemoryStore
+from repro.net.codec import encode_message
 from repro.store.filestore import (
+    CHECKPOINT_MAGIC,
     SEGMENT_MAGIC,
+    _frame,
+    _scan_segment_frames,
+    _verify_checkpoint_bytes,
     flip_byte,
     torn_write_file,
 )
@@ -174,6 +179,35 @@ class TestDamage:
         load = FileStore(tmp_path / "s").load()
         assert load.corrupt_segments == 1
         assert load.damaged
+
+    @pytest.mark.parametrize("body", [
+        b"\xff garbage",                              # unknown message tag
+        encode_message(make_record(4))[:-3],          # truncated record
+        encode_message(make_checkpoint(1, 25)),       # decodes, but no record
+    ], ids=["unknown_tag", "truncated", "not_a_record"])
+    def test_crc_valid_undecodable_frame_is_corrupt(self, tmp_path, body):
+        """A frame whose CRC checks but whose body is not a BatchRecord is
+        damage, counted by the loader, ``inspect`` and the compactor's
+        scan alike — never an exception out of the store."""
+        store = FileStore(tmp_path / "s")
+        for seq in range(1, 4):
+            store.append(make_record(seq))
+        store.close()
+        segment = newest_segment(store)
+        with segment.open("ab") as fh:
+            fh.write(_frame(body))
+
+        load = FileStore(tmp_path / "s").load()
+        assert load.corrupt_segments == 1
+        assert load.damaged
+        assert [r.batch_seq for r in load.records] == [1, 2, 3]
+        [report] = inspect_store(tmp_path / "s")["segments"]
+        assert report["status"] == "corrupt"
+        assert _scan_segment_frames(segment) is None
+
+    def test_crc_valid_undecodable_checkpoint_is_rejected(self):
+        for body in (b"\xff garbage", encode_message(make_record(4))):
+            assert _verify_checkpoint_bytes(CHECKPOINT_MAGIC + _frame(body)) is None
 
     def test_damage_on_empty_store_is_noop(self, tmp_path):
         store = FileStore(tmp_path / "s")
