@@ -3,10 +3,10 @@
 ``repro rt run --f 1`` lands here. The launcher:
 
 1. is the deployment's one-time dealer: generates the material of the
-   fleet's one replica group (hosts, ports, every key), writes the spec file every node reads
-   (:class:`~repro.rt.bootstrap.RtConfig` JSON with the shared
-   wall-clock epoch) and one key file per node holding only what that
-   node's role uses (``out_dir/keys/<host>.json``, mode 0600);
+   fleet's one replica group (hosts, ports, every key), writes the spec
+   file every node reads (:class:`~repro.rt.bootstrap.RtConfig` JSON with
+   the shared wall-clock epoch) and one key file per node holding only
+   what that node's role uses (``out_dir/keys/<host>.json``, mode 0600);
 2. spawns one OS process per replica (``repro rt node --host X``), waits
    until every control endpoint answers ``/health``, then spawns one
    process per client (proxy + workload driver);

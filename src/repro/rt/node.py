@@ -32,10 +32,10 @@ from typing import Dict, Optional, Tuple
 from repro.core.confidentiality import Auditor
 from repro.core.proxy import ClientProxy
 from repro.core.replica import ReplicaEnv
+from repro.errors import ConfigurationError
 from repro.obs.export import metrics_jsonl_rows, prometheus_text, tracer_jsonl_rows, write_jsonl
 from repro.obs.registry import MetricsRegistry
 from repro.obs.watch import NodeWatch
-from repro.errors import ConfigurationError
 from repro.rt.bootstrap import RtConfig, fleet_layout, host_ports
 from repro.rt.control import ControlServer
 from repro.rt.keys import load_node_material
@@ -59,17 +59,15 @@ class NodeContext:
         self.config = config
         self.host = host
         self.role = role
-        # The fleet's key-free layout plus the keys dealt to this host.
-        # Raises ConfigurationError naming the host or the key file when
-        # either is not this fleet's.
+        # The fleet's key-free layout plus the keys dealt to this host;
+        # a host or key file not of this fleet raises ConfigurationError
+        # naming the key file.
         layout = fleet_layout(config)
-        self.ports = host_ports(layout, config.base_port)
-        if host not in self.ports:
-            raise ConfigurationError(f"host {host!r} is not part of this fleet")
-        self.data_port, self.control_port = self.ports[host]
+        self.material: SystemMaterial = load_node_material(config, layout, host)
         self.system_config = config.system_config()
         self.rng = RngRegistry(self.system_config.seed)
-        self.material: SystemMaterial = load_node_material(config, layout, host)
+        self.ports = host_ports(layout, config.base_port)
+        self.data_port, self.control_port = self.ports[host]
         self.loop = asyncio.get_event_loop()
         self.scheduler = LiveScheduler(self.loop, epoch=config.epoch)
         self.metrics = MetricsRegistry(now_fn=lambda: self.scheduler.now)

@@ -222,13 +222,9 @@ def test_rt_node_prints_a_bad_spec_and_exits_2(tmp_path, capsys):
     assert "'checkpoint_delta_intervall'" in err
     assert "'checkpoint_delta_interval'" in err
 
-
-def test_rt_node_names_the_keys_of_a_multi_group_spec_and_exits_2(tmp_path, capsys):
-    """A spec written for the multi-group live fleet fails with the
-    config error, not a traceback."""
+    # A spec written for the multi-group live fleet, which is gone.
     from tests.test_rt_bootstrap import PARENT_ONLY_KEYS
 
-    path = tmp_path / "spec.json"
     path.write_text(json.dumps({**json.loads(RtConfig().to_json()), **PARENT_ONLY_KEYS}))
     assert cli.main(["rt", "node", "--spec", str(path), "--host", "cc-a-r0"]) == 2
     err = capsys.readouterr().err
